@@ -6,10 +6,8 @@
 
 #include "backend/Registry.h"
 #include "craneline/Craneline.h"
-#include "direct/DirectEmit.h"
 #include "gccjit/Gccjit.h"
 #include "interp/Interp.h"
-#include "mlvm/Mlvm.h"
 #include "stencil/Stencil.h"
 
 using namespace qcf;
@@ -42,157 +40,64 @@ std::vector<std::string> backend::allBackendNames() {
 
 AdaptiveModule::AdaptiveModule(const qir::Module &M,
                                std::unique_ptr<CompiledModule> Fast,
-                               uint32_t SizeThreshold, uint32_t RunsThreshold,
-                               CompileService *Service,
+                               Backend &Opt, uint32_t SizeThreshold,
+                               uint32_t RunsThreshold, CompileService *Service,
                                obs::MetricsRegistry *Reg)
-    : M(M), Fast(std::move(Fast)), SizeThreshold(SizeThreshold),
+    : M(M), Fast(std::move(Fast)), Opt(Opt), SizeThreshold(SizeThreshold),
       RunsThreshold(RunsThreshold), Service(Service),
       Reg(Reg ? Reg : &obs::MetricsRegistry::global()) {
   for (const auto &F : M.functions())
-    RunCounts.emplace_back(F->name(), 0);
+    Fns.emplace_back(F->name(), this->Fast->entry(F->name()));
 }
 
-AdaptiveModule::~AdaptiveModule() {
-  // A pending optimizing compile references our module; it must not
-  // outlive us. Cancel it if it has not started, otherwise wait it out.
-  if (HasPending.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (!PendingTicket.cancel())
-      PendingTicket.wait();
-  }
+AdaptiveModule::FnTier *AdaptiveModule::find(const std::string &Name) {
+  for (FnTier &F : Fns)
+    if (F.Name == Name)
+      return &F;
+  return nullptr;
 }
 
 void *AdaptiveModule::entry(const std::string &Name) {
-  // Lock-free fast path: after the swap, reads go straight to the
-  // optimized tier.
-  if (CompiledModule *P = Promoted.load(std::memory_order_acquire)) {
-    if (void *E = P->entry(Name))
-      return E;
-    return Fast->entry(Name);
-  }
-  if (HasPending.load(std::memory_order_acquire)) {
-    pollPromotion();
-    if (CompiledModule *P = Promoted.load(std::memory_order_acquire))
-      if (void *E = P->entry(Name))
-        return E;
-  }
-  return Fast->entry(Name);
+  FnTier *F = find(Name);
+  return F ? F->Cell.load()->Fn : nullptr;
 }
 
-bool AdaptiveModule::installPromotedLocked(
-    std::shared_ptr<CompiledModule> Opt) {
-  if (!Opt)
+bool AdaptiveModule::install(CompiledModule *OptMod) {
+  if (!OptMod)
     return false;
-  PromotedKeeper = std::move(Opt);
-  // Entry-pointer swap: publish after ownership is pinned; entry()'s
-  // acquire load pairs with this release store.
-  Promoted.store(PromotedKeeper.get(), std::memory_order_release);
-  HasPending.store(false, std::memory_order_release);
-  PendingTicket = CompileTicket();
+  // A function the optimized tier lacks stays on its fast entry (the
+  // cell refuses an entry without code).
+  for (FnTier &F : Fns) {
+    F.OptEntry =
+        TierEntry{OptMod->entry(F.Name), TierOpt, F.FastEntry.Contract};
+    F.Cell.publish(&F.OptEntry);
+  }
   // Promotion observability: how often tiers swap, and how long a
   // function stays on the fast tier after the heuristic fires.
   Reg->counter("adaptive.promotions").inc();
-  if (PromoteSubmitNs)
-    Reg->histogram("adaptive.promote.ns").observe(nowNs() - PromoteSubmitNs);
-  PromoteSubmitNs = 0;
+  if (uint64_t T0 = PromoteSubmitNs.load(std::memory_order_relaxed))
+    Reg->histogram("adaptive.promote.ns").observe(nowNs() - T0);
   return true;
 }
 
-bool AdaptiveModule::pollPromotion() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (!HasPending.load(std::memory_order_acquire))
-    return false;
-  if (std::shared_ptr<CompiledModule> Opt = PendingTicket.poll())
-    return installPromotedLocked(std::move(Opt));
-  if (PendingTicket.done()) {
-    // Cancelled (service shut down): give up on this promotion.
-    HasPending.store(false, std::memory_order_release);
-    PendingTicket = CompileTicket();
-  }
-  return false;
-}
-
-void AdaptiveModule::waitForPromotion() {
-  if (!HasPending.load(std::memory_order_acquire))
-    return;
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (!HasPending.load(std::memory_order_acquire))
-    return;
-  installPromotedLocked(PendingTicket.wait());
-  HasPending.store(false, std::memory_order_release);
-}
-
-CompileTicket AdaptiveModule::requestPromotion(CompileService *Svc) {
-  if (isPromoted())
-    return CompileTicket();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (HasPending.load(std::memory_order_acquire))
-    return PendingTicket;
-  CompileService *Target = Service ? Service : Svc;
-  if (!Target)
-    return CompileTicket();
-  OptBackend = std::make_unique<mlvm::MlvmBackend>(mlvm::MlvmOptions::opt());
-  PromoteSubmitNs = nowNs();
-  PendingTicket =
-      Target->submit(M, *OptBackend, CompilePriority::Background).Ticket;
-  if (!PendingTicket.valid()) {
-    // Rejected (bounded queue full): promotion stays speculative — drop
-    // the attempt; a later noteExecution() threshold crossing retries.
-    OptBackend.reset();
-    return CompileTicket();
-  }
-  HasPending.store(true, std::memory_order_release);
-  return PendingTicket;
-}
-
-CompileTicket AdaptiveModule::promotionTicket() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (!HasPending.load(std::memory_order_acquire))
-    return CompileTicket();
-  return PendingTicket;
-}
-
 bool AdaptiveModule::noteExecution(const std::string &Name) {
-  if (isPromoted())
+  if (Swap.inFlight())
+    return install(Swap.poll());
+  FnTier *F = find(Name);
+  if (isPromoted() || !F ||
+      F->Runs.fetch_add(1, std::memory_order_relaxed) + 1 < RunsThreshold)
     return false;
-  if (HasPending.load(std::memory_order_acquire))
-    return pollPromotion();
-
-  std::unique_lock<std::mutex> Lock(Mutex);
-  for (auto &[N, Count] : RunCounts) {
-    if (N != Name)
-      continue;
-    if (++Count < RunsThreshold)
-      return false;
-    // Size/benefit heuristic (§III-C): recompile large functions only.
-    const qir::Function *F = M.functionByName(Name);
-    if (!F || F->sizeHeuristic() < SizeThreshold)
-      return false;
-    if (Service) {
-      // Non-blocking promotion: the optimizing compile runs on a service
-      // worker; callers keep executing the fast tier until the ticket
-      // completes and entry() swaps tiers.
-      OptBackend = std::make_unique<mlvm::MlvmBackend>(mlvm::MlvmOptions::opt());
-      PromoteSubmitNs = nowNs();
-      PendingTicket =
-          Service->submit(M, *OptBackend, CompilePriority::Background).Ticket;
-      if (!PendingTicket.valid()) {
-        // Rejected (bounded queue full): drop the speculative promotion;
-        // a later threshold crossing retries.
-        OptBackend.reset();
-        return false;
-      }
-      HasPending.store(true, std::memory_order_release);
-      Lock.unlock();
-      // The degraded (post-shutdown) service completes synchronously; in
-      // that case install right away instead of waiting for a poll.
-      return pollPromotion();
-    }
-    mlvm::MlvmBackend Opt(mlvm::MlvmOptions::opt());
-    PromoteSubmitNs = nowNs();
-    return installPromotedLocked(Opt.compile(M));
-  }
-  return false;
+  // Size/benefit heuristic (§III-C): recompile large functions only.
+  const qir::Function *QF = M.functionByName(Name);
+  if (!QF || QF->sizeHeuristic() < SizeThreshold)
+    return false;
+  // Only the first caller past the threshold claims the swap; with a
+  // service the compile runs on a worker and callers keep executing the
+  // fast tier. An inline (no service) or degraded (post-shutdown) compile
+  // has already landed, so install right away instead of on a later call.
+  PromoteSubmitNs.store(nowNs(), std::memory_order_relaxed);
+  Swap.submit(Service, M, Opt);
+  return install(Swap.poll());
 }
 
 std::unique_ptr<CompiledModule>
@@ -201,8 +106,7 @@ AdaptiveBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
   // phases appear as compile.DirectEmit.*); the Adaptive wrapper itself
   // adds no phases, so no CompileObs of its own — only promotion metrics,
   // which AdaptiveModule reports as they happen.
-  direct::DirectBackend Fast;
-  return std::make_unique<AdaptiveModule>(M, Fast.compile(M, Opts),
+  return std::make_unique<AdaptiveModule>(M, Fast.compile(M, Opts), Opt,
                                           PromoteSizeThreshold,
                                           PromoteAfterRuns, Service,
                                           Opts.Obs.Metrics);

@@ -11,8 +11,8 @@
 /// whether to recompile with MLVM-optimized, after which subsequent
 /// executions use the optimized code. With a CompileService attached, the
 /// optimizing recompile runs on a service worker at Background priority
-/// and the module atomically swaps entry pointers when it completes —
-/// callers never stall on MLVM.
+/// and the swap goes through the one tier-swap protocol
+/// (backend/TierSwap.h) — callers never stall on MLVM.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,24 +21,30 @@
 
 #include "backend/Backend.h"
 #include "backend/CompileService.h"
+#include "backend/TierSwap.h"
+#include "direct/DirectEmit.h"
+#include "mlvm/Mlvm.h"
 #include <atomic>
-#include <functional>
-#include <mutex>
+#include <deque>
 #include <vector>
 
 namespace qcf::backend {
 
-/// Creates a back-end by its Table III name: "Interpreter", "DirectEmit",
-/// "Craneline", "MLVM-cheap", "MLVM-opt", "GCC", "Adaptive". \returns
-/// nullptr for unknown names.
+/// Creates a back-end by its Table III name: "Interpreter", "Stencil",
+/// "DirectEmit", "Craneline", "MLVM-cheap", "MLVM-opt", "GCC",
+/// "Adaptive". \returns nullptr for unknown names.
 std::unique_ptr<Backend> createBackend(const std::string &Name);
 
 /// All Table III back-end names, in the paper's order.
 std::vector<std::string> allBackendNames();
 
 /// The adaptive back-end. compile() uses DirectEmit; callers then invoke
-/// maybePromote() after executions, which recompiles with MLVM-opt when
-/// the size heuristic deems optimization beneficial.
+/// AdaptiveModule::noteExecution() after executions, which recompiles
+/// with MLVM-opt when the size heuristic deems optimization beneficial.
+/// Both tiers are members, shared by every module this back-end
+/// compiles, so modules must not outlive their back-end. Under
+/// db::ExecOptions::AdaptiveExec the executor runs the two tiers
+/// directly (fastTier() -> optTier()) through its morsel-boundary swap.
 class AdaptiveBackend : public Backend {
 public:
   AdaptiveBackend() = default;
@@ -50,6 +56,9 @@ public:
   std::unique_ptr<CompiledModule> compile(const qir::Module &M,
                                           const CompileOptions &Opts) override;
 
+  Backend &fastTier() { return Fast; }
+  Backend &optTier() { return Opt; }
+
   /// Size threshold above which optimized recompilation pays off.
   uint32_t PromoteSizeThreshold = 48;
   /// Executions before promotion is considered.
@@ -58,83 +67,72 @@ public:
   /// instead of recompiling on the calling thread. Must outlive every
   /// module this back-end compiles.
   CompileService *Service = nullptr;
+
+private:
+  direct::DirectBackend Fast;
+  /// MLVM keeps its per-compile state thread_local, so concurrent
+  /// promotions of different modules may share this instance.
+  mlvm::MlvmBackend Opt{mlvm::MlvmOptions::opt()};
 };
 
-/// The module wrapper the adaptive back-end hands out; entry() returns the
-/// current tier's code. Thread-safe: entry() is a lock-free atomic read of
-/// the promoted tier with a fallback to the fast tier, and the tier swap
-/// is a single release store once the optimized compile lands.
+/// The module the adaptive back-end hands out. Thread-safe: entry() is
+/// one acquire load of the function's TierCell, and promotion publishes
+/// every function's optimized TierEntry through a TierSwap, so exactly
+/// one optimizing compile is ever submitted per module.
 class AdaptiveModule : public CompiledModule {
 public:
+  /// \p Opt compiles the optimized tier and must outlive this module.
   /// \p Reg receives promotion metrics (count + submit-to-install
   /// latency); null means the process-wide registry.
   AdaptiveModule(const qir::Module &M, std::unique_ptr<CompiledModule> Fast,
-                 uint32_t SizeThreshold, uint32_t RunsThreshold,
+                 Backend &Opt, uint32_t SizeThreshold, uint32_t RunsThreshold,
                  CompileService *Service = nullptr,
                  obs::MetricsRegistry *Reg = nullptr);
-  ~AdaptiveModule();
 
   void *entry(const std::string &Name) override;
 
   /// Records one execution of \p Name. Without a service this recompiles
   /// with the optimizing tier on the calling thread when the heuristic
   /// fires; with one it submits the recompile and returns immediately,
-  /// the swap happening when the ticket completes. \returns true if the
-  /// optimized tier was installed by this call.
+  /// and a later call installs it once it has landed. \returns true if
+  /// the optimized tier was installed by this call.
   bool noteExecution(const std::string &Name);
 
-  bool isPromoted() const {
-    return Promoted.load(std::memory_order_acquire) != nullptr;
-  }
+  bool isPromoted() const { return Swap.landed(); }
   /// True while an optimizing recompile is queued or running.
-  bool promotionPending() const {
-    return HasPending.load(std::memory_order_acquire);
-  }
-  /// Blocks until an in-flight promotion (if any) has been installed.
-  void waitForPromotion();
-
-  /// Executor-facing promotion hook (ExecOptions::AdaptiveExec): submits
-  /// the optimizing recompile immediately, bypassing the run-count
-  /// heuristic, and exposes the in-flight ticket so morsel pickups can
-  /// poll it without taking this module's lock. Uses the back-end's
-  /// service when one was attached, else \p Svc. Idempotent: a promotion
-  /// already in flight returns its existing ticket. \returns an invalid
-  /// ticket when already promoted or no service is available.
-  CompileTicket requestPromotion(CompileService *Svc = nullptr);
-
-  /// The in-flight promotion ticket, if any (invalid otherwise). All
-  /// copies observe the same job.
-  CompileTicket promotionTicket();
-
-  /// Installs the promoted tier if the pending recompile has completed;
-  /// never blocks. The executor calls this after driving a swap through
-  /// the ticket so the module's own entry() agrees with the published
-  /// tier. \returns true if this call performed the install.
-  bool installIfReady() { return pollPromotion(); }
+  bool promotionPending() const { return Swap.inFlight(); }
+  /// Blocks until an in-flight promotion (if any) has landed.
+  void waitForPromotion() { install(Swap.wait()); }
 
 private:
-  /// Installs the promoted tier if the pending ticket has completed.
-  /// \returns true if this call performed the install.
-  bool pollPromotion();
-  bool installPromotedLocked(std::shared_ptr<CompiledModule> Opt);
+  /// Publishes \p Opt's entry for every function. \returns false for a
+  /// null \p Opt (nothing landed for this caller).
+  bool install(CompiledModule *Opt);
+
+  struct FnTier {
+    FnTier(std::string Name, void *FastFn)
+        : Name(std::move(Name)),
+          FastEntry{FastFn, TierFast, tierContract(this->Name)},
+          Cell(&FastEntry) {}
+    const std::string Name;
+    const TierEntry FastEntry;
+    TierEntry OptEntry; ///< Written once, by the installer, before publish.
+    TierCell Cell;
+    std::atomic<uint32_t> Runs{0};
+  };
+  FnTier *find(const std::string &Name);
 
   const qir::Module &M;
   std::unique_ptr<CompiledModule> Fast;
+  Backend &Opt;
   uint32_t SizeThreshold, RunsThreshold;
   CompileService *Service;
   obs::MetricsRegistry *Reg;
-  uint64_t PromoteSubmitNs = 0; ///< nowNs() when the recompile was queued.
-
-  /// The swap target read by entry(). Owned by PromotedKeeper, which is
-  /// written (under Mutex) strictly before the release store here.
-  std::atomic<CompiledModule *> Promoted{nullptr};
-  std::atomic<bool> HasPending{false};
-
-  std::mutex Mutex; ///< Guards everything below.
-  std::shared_ptr<CompiledModule> PromotedKeeper;
-  std::unique_ptr<Backend> OptBackend; ///< Alive while a job may run.
-  CompileTicket PendingTicket;
-  std::vector<std::pair<std::string, uint32_t>> RunCounts;
+  std::atomic<uint64_t> PromoteSubmitNs{0}; ///< When the recompile started.
+  std::deque<FnTier> Fns;
+  /// Last member: destroyed first, so a still-running recompile is
+  /// settled before anything it could touch goes away.
+  TierSwap Swap;
 };
 
 } // namespace qcf::backend

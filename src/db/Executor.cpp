@@ -6,6 +6,7 @@
 
 #include "db/Executor.h"
 #include "backend/Registry.h"
+#include "backend/TierSwap.h"
 #include "qir/Clone.h"
 #include <algorithm>
 #include <atomic>
@@ -18,6 +19,8 @@
 
 using namespace qcf;
 using namespace qcf::db;
+using backend::TierCell;
+using backend::TierEntry;
 
 namespace {
 
@@ -41,76 +44,61 @@ struct WorkerAcct {
   uint64_t TierNs[2] = {0, 0};
 };
 
-/// Drives one pipeline's tier swap: owns the optimized-tier ticket, the
-/// swap decision, and the publication into the TierCell. atPickup is
-/// called by every worker at every morsel pickup; it is a single relaxed
-/// flag check in steady state (before the compile lands and after the
-/// terminal decision), and exactly one worker at a time probes the
-/// ticket in between.
+/// Signature of every compiled pipeline entry point: scan [Begin, End) of
+/// the pipeline's source with all cross-morsel state behind Ctx.
+using PipeFn = void (*)(void *Ctx, int64_t Begin, int64_t End);
+
+/// The swap policy of one pipeline on top of its TierSwap: when to take
+/// the optimized tier, whether to publish it into the TierCell, and the
+/// outcome stats. atPickup is called by every worker at every morsel
+/// pickup; once the swap has settled (landed, cancelled, or never
+/// submitted) it is a single acquire flag check.
 struct OsrDriver {
-  OsrDriver(TierCell &Cell, backend::CompileTicket Ticket, std::string FnName,
+  OsrDriver(TierCell &Cell, backend::TierSwap &Swap, std::string FnName,
             uint64_t Contract, const ExecOptions &Opts)
-      : Cell(Cell), Ticket(std::move(Ticket)), FnName(std::move(FnName)),
-        Contract(Contract), ForceMorsel(Opts.OsrForceSwapMorsel),
+      : Cell(Cell), Swap(Swap), FnName(std::move(FnName)), Contract(Contract),
+        ForceMorsel(Opts.OsrForceSwapMorsel),
         MinRowsRemaining(Opts.OsrMinRowsRemaining),
-        MorselSize(Opts.MorselSize) {
-    // No ticket (e.g. the Adaptive module is already on its optimized
-    // tier): nothing to drive, and nothing to count at finalize.
-    Inert = !this->Ticket.valid();
-    if (Inert)
-      Done.store(true, std::memory_order_relaxed);
-  }
+        MorselSize(Opts.MorselSize), Inert(!Swap.inFlight()) {}
 
   /// Worker-side hook, invoked before executing global morsel \p Idx of
   /// a pipeline over \p Rows source rows.
   void atPickup(uint64_t Idx, uint64_t Rows) {
-    if (Done.load(std::memory_order_acquire))
+    if (!Swap.inFlight())
       return;
-    if (ForceMorsel >= 0 && static_cast<int64_t>(Idx) < ForceMorsel)
+    int64_t I = static_cast<int64_t>(Idx);
+    if (I < ForceMorsel)
       return;
-    bool Expected = false;
-    if (!Claim.compare_exchange_strong(Expected, true,
-                                       std::memory_order_acq_rel))
-      return; // another worker holds the probe
-    if (Done.load(std::memory_order_acquire)) {
-      Claim.store(false, std::memory_order_release);
-      return;
-    }
-    if (ForceMorsel >= 0) {
+    backend::CompiledModule *Opt;
+    if (I == ForceMorsel) {
       // Deterministic cutover: block on the compile so morsel ForceMorsel
       // is the first to run optimized code (exact when single-threaded;
       // parallel workers keep draining fast-tier morsels meanwhile).
       uint64_t W0 = nowNs();
-      std::shared_ptr<backend::CompiledModule> Opt = Ticket.wait();
+      Opt = Swap.wait();
       WaitNs.fetch_add(nowNs() - W0, std::memory_order_relaxed);
-      finishAttempt(std::move(Opt), Idx, Rows);
-      return; // Claim stays held: the decision is terminal.
+    } else {
+      Opt = Swap.poll();
     }
-    std::shared_ptr<backend::CompiledModule> Opt = Ticket.poll();
-    if (!Opt && !Ticket.done()) {
-      Claim.store(false, std::memory_order_release); // probe again later
-      return;
-    }
-    finishAttempt(std::move(Opt), Idx, Rows);
+    if (Opt)
+      install(Opt, Idx, Rows);
   }
 
   TierCell &Cell;
-  backend::CompileTicket Ticket;
+  backend::TierSwap &Swap;
   const std::string FnName;
   const uint64_t Contract;
   const int64_t ForceMorsel;
   const uint64_t MinRowsRemaining;
   const uint64_t MorselSize;
-  bool Inert = false;
+  const bool Inert; ///< No optimized compile was accepted for this pipeline.
 
-  /// Swap target. Written by the publishing worker strictly before the
-  /// release store in Cell.publish(); owned here so the code outlives
-  /// every worker still executing it.
+  /// Swap target. Written by the one worker that received the landed
+  /// module, strictly before the release store in Cell.publish(); the
+  /// code itself stays pinned by Swap.
   TierEntry OptEntry;
-  std::shared_ptr<backend::CompiledModule> OptKeeper;
+  backend::CompiledModule *OptModule = nullptr;
 
-  std::atomic<bool> Done{false};  ///< Terminal decision reached.
-  std::atomic<bool> Claim{false}; ///< Probe mutual exclusion.
   std::atomic<bool> Installed{false};
   std::atomic<bool> SkippedPolicy{false};
   std::atomic<bool> Mismatch{false};
@@ -119,34 +107,26 @@ struct OsrDriver {
   std::atomic<uint64_t> WaitNs{0};
 
 private:
-  /// Terminal transition: install the optimized tier, or record why not.
-  void finishAttempt(std::shared_ptr<backend::CompiledModule> Opt,
-                     uint64_t Idx, uint64_t Rows) {
-    if (Opt) {
-      // Rows-remaining policy: rows at or after this morsel. The swap
-      // itself is one atomic store, so the default threshold of 1
-      // publishes whenever any work remains.
-      uint64_t Claimed = std::min(Rows, Idx * MorselSize);
-      if (Rows - Claimed < MinRowsRemaining) {
-        SkippedPolicy.store(true, std::memory_order_relaxed);
-      } else if (void *E = Opt->entry(FnName)) {
-        OptKeeper = std::move(Opt);
-        OptEntry.Fn = reinterpret_cast<PipeFn>(E);
-        OptEntry.Tier = OsrTierOpt;
-        OptEntry.Contract = Contract;
-        if (Cell.publish(&OptEntry)) {
-          SwapMorsel.store(static_cast<int64_t>(Idx),
-                           std::memory_order_relaxed);
-          SwapNs.store(nowNs(), std::memory_order_relaxed);
-          Installed.store(true, std::memory_order_release);
-        } else {
-          Mismatch.store(true, std::memory_order_relaxed);
-        }
-      } else {
-        Mismatch.store(true, std::memory_order_relaxed);
-      }
+  /// Publishes the optimized tier, or records why not. Runs at most once:
+  /// only one caller ever receives the landed module.
+  void install(backend::CompiledModule *Opt, uint64_t Idx, uint64_t Rows) {
+    // Rows-remaining policy: rows at or after this morsel. The swap
+    // itself is one atomic store, so the default threshold of 1
+    // publishes whenever any work remains.
+    uint64_t Claimed = std::min(Rows, Idx * MorselSize);
+    if (Rows - Claimed < MinRowsRemaining) {
+      SkippedPolicy.store(true, std::memory_order_relaxed);
+      return;
     }
-    Done.store(true, std::memory_order_release);
+    OptModule = Opt;
+    OptEntry = TierEntry{Opt->entry(FnName), backend::TierOpt, Contract};
+    if (!Cell.publish(&OptEntry)) {
+      Mismatch.store(true, std::memory_order_relaxed);
+      return;
+    }
+    SwapMorsel.store(static_cast<int64_t>(Idx), std::memory_order_relaxed);
+    SwapNs.store(nowNs(), std::memory_order_relaxed);
+    Installed.store(true, std::memory_order_release);
   }
 };
 
@@ -164,7 +144,7 @@ PipelineRunInfo runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows,
   if (!Osr && !Ctl &&
       (!Parallel || Opts.NumThreads <= 1 || Rows < Opts.MorselSize * 2)) {
     const TierEntry *E = Cell.load();
-    E->Fn(Ctx, 0, static_cast<int64_t>(Rows));
+    reinterpret_cast<PipeFn>(E->Fn)(Ctx, 0, static_cast<int64_t>(Rows));
     PipelineRunInfo R{1, 1};
     R.Morsels = 1;
     R.TierMorsels[E->Tier & 1] = 1;
@@ -206,7 +186,8 @@ PipelineRunInfo runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows,
       const TierEntry *E = Cell.load();
       uint64_t End = std::min(Rows, Begin + Opts.MorselSize);
       uint64_t T0 = Osr ? nowNs() : 0;
-      E->Fn(Ctx, static_cast<int64_t>(Begin), static_cast<int64_t>(End));
+      reinterpret_cast<PipeFn>(E->Fn)(Ctx, static_cast<int64_t>(Begin),
+                                      static_cast<int64_t>(End));
       unsigned Tier = E->Tier & 1;
       ++A.Morsels;
       ++A.TierMorsels[Tier];
@@ -344,7 +325,7 @@ struct QueryRuntime {
           const RuntimeObject &Obj = Plan.Objects[P.SortObject];
           void *Cmp = nullptr;
           if (RC.Osr && RC.Osr->Installed.load(std::memory_order_acquire))
-            Cmp = RC.Osr->OptKeeper->entry(Obj.CmpFnName);
+            Cmp = RC.Osr->OptModule->entry(Obj.CmpFnName);
           if (!Cmp)
             Cmp = RC.Module->entry(Obj.CmpFnName);
           assert(Cmp && "missing comparator entry point");
@@ -359,12 +340,12 @@ struct QueryRuntime {
         S.Workers = Run.Workers;
         S.MinWorkerMorsels = Run.MinWorkerMorsels;
         S.Morsels = Run.Morsels;
-        S.MorselsFast = Run.TierMorsels[OsrTierFast];
-        S.MorselsOpt = Run.TierMorsels[OsrTierOpt];
-        S.RowsFast = Run.TierRows[OsrTierFast];
-        S.RowsOpt = Run.TierRows[OsrTierOpt];
-        S.NsFast = Run.TierNs[OsrTierFast];
-        S.NsOpt = Run.TierNs[OsrTierOpt];
+        S.MorselsFast = Run.TierMorsels[backend::TierFast];
+        S.MorselsOpt = Run.TierMorsels[backend::TierOpt];
+        S.RowsFast = Run.TierRows[backend::TierFast];
+        S.RowsOpt = Run.TierRows[backend::TierOpt];
+        S.NsFast = Run.TierNs[backend::TierFast];
+        S.NsOpt = Run.TierNs[backend::TierOpt];
         if (obs::TraceSink *Sink = Opts.Obs.Sink)
           Sink->completeEvent("db.pipeline." + P.FnName, "exec", StartNs,
                               DurNs);
@@ -391,10 +372,11 @@ struct QueryRuntime {
       backend::CompiledModule *CM = ModuleFor(PI);
       if (!CM)
         return ResolvedCode{};
-      auto *Fn = reinterpret_cast<PipeFn>(CM->entry(P.FnName));
+      void *Fn = CM->entry(P.FnName);
       assert(Fn && "missing pipeline entry point");
       StaticEntries.push_back(
-          TierEntry{Fn, OsrTierFast, osrContract(P.FnName, Plan.NumCtxSlots)});
+          TierEntry{Fn, backend::TierFast,
+                    backend::tierContract(P.FnName, Plan.NumCtxSlots)});
       StaticCells.emplace_back(&StaticEntries.back());
       return ResolvedCode{&StaticCells.back(), nullptr, CM};
     });
@@ -602,13 +584,18 @@ ExecResult executeQueryAdaptive(const CompiledPlan &Plan, backend::Backend &BE,
   CO.Mem = Opts.CompileMem;
   CO.FairnessKey = Opts.CompileFairnessKey;
 
-  const bool BeIsAdaptive = BE.name() == "Adaptive";
-  std::unique_ptr<backend::Backend> OwnedFast;
+  // The two tiers. The Adaptive back-end resolves to its own pair
+  // (DirectEmit -> MLVM-opt); otherwise BE is the optimized tier and
+  // QCF_FAST_TIER selects the back-end that bridges its compile latency
+  // (default DirectEmit; "Stencil" drops one rung further down the
+  // ladder).
+  backend::Backend *Opt = &BE;
   backend::Backend *Fast = Opts.FastBackend;
-  if (!Fast && !BeIsAdaptive) {
-    // QCF_FAST_TIER selects the back-end that bridges the optimized
-    // tier's compile latency (default DirectEmit; "Stencil" drops one
-    // rung further down the ladder).
+  std::unique_ptr<backend::Backend> OwnedFast;
+  if (auto *AB = dynamic_cast<backend::AdaptiveBackend *>(&BE)) {
+    Fast = &AB->fastTier();
+    Opt = &AB->optTier();
+  } else if (!Fast) {
     const char *FastName = std::getenv("QCF_FAST_TIER");
     OwnedFast = backend::createBackend(FastName && *FastName ? FastName
                                                              : "DirectEmit");
@@ -617,8 +604,8 @@ ExecResult executeQueryAdaptive(const CompiledPlan &Plan, backend::Backend &BE,
     Fast = OwnedFast.get();
   }
 
-  // Units must outlive the service (running jobs reference them), so the
-  // transient service is declared after them.
+  // Units must outlive the service and the swaps (running jobs reference
+  // them), so both are declared after them.
   std::optional<backend::CompileService> Local;
   backend::CompileService *Svc = Opts.Service;
   if (!Svc) {
@@ -629,31 +616,17 @@ ExecResult executeQueryAdaptive(const CompiledPlan &Plan, backend::Backend &BE,
   ExecResult Result;
   // The optimized tier is queued first (Background priority: it is
   // speculative until a pipeline decides to swap), then the fast tier
-  // compiles synchronously so execution starts right away.
+  // compiles synchronously so execution starts right away. A Rejected
+  // optimized-tier submit (bounded shared service under load) leaves that
+  // swap unclaimed: the pipeline runs the fast tier to completion —
+  // speculative work is exactly what the service sheds first.
   uint64_t CompileStartNs = nowNs();
+  std::vector<backend::TierSwap> Swaps(Units.size());
+  for (size_t PI = 0; PI != Units.size(); ++PI)
+    Swaps[PI].submit(Svc, *Units[PI], *Opt, CO);
   std::vector<std::unique_ptr<backend::CompiledModule>> FastMods(Units.size());
-  std::vector<backend::CompileTicket> Tickets(Units.size());
-  if (BeIsAdaptive) {
-    // Promotion-hook path: the Adaptive back-end compiles its own fast
-    // tier, and AdaptiveModule exposes the in-flight optimizing ticket
-    // for the executor to poll at morsel boundaries.
-    for (size_t PI = 0; PI != Units.size(); ++PI) {
-      FastMods[PI] = BE.compile(*Units[PI], CO);
-      auto *AM = static_cast<backend::AdaptiveModule *>(FastMods[PI].get());
-      Tickets[PI] = AM->requestPromotion(Svc);
-    }
-  } else {
-    // A Rejected optimized-tier submit (bounded shared service under
-    // load) simply leaves the ticket invalid: the pipeline runs the fast
-    // tier to completion — speculative work is exactly what the service
-    // sheds first.
-    for (size_t PI = 0; PI != Units.size(); ++PI)
-      Tickets[PI] =
-          Svc->submit(*Units[PI], BE, backend::CompilePriority::Background, CO)
-              .Ticket;
-    for (size_t PI = 0; PI != Units.size(); ++PI)
-      FastMods[PI] = Fast->compile(*Units[PI], CO);
-  }
+  for (size_t PI = 0; PI != Units.size(); ++PI)
+    FastMods[PI] = Fast->compile(*Units[PI], CO);
   Result.Stats.CompileNs = nowNs() - CompileStartNs;
 
   QueryRuntime RT(Plan, Cat, Out);
@@ -666,12 +639,12 @@ ExecResult executeQueryAdaptive(const CompiledPlan &Plan, backend::Backend &BE,
     const PipelineDesc &P = Plan.Pipelines[PI];
     if (!FastMods[PI]) // Cancelled fast-tier compile (caching fast tier).
       return ResolvedCode{};
-    uint64_t Contract = osrContract(P.FnName, Plan.NumCtxSlots);
-    auto *Fn = reinterpret_cast<PipeFn>(FastMods[PI]->entry(P.FnName));
+    uint64_t Contract = backend::tierContract(P.FnName, Plan.NumCtxSlots);
+    void *Fn = FastMods[PI]->entry(P.FnName);
     assert(Fn && "missing pipeline entry point");
-    FastEntries.push_back(TierEntry{Fn, OsrTierFast, Contract});
+    FastEntries.push_back(TierEntry{Fn, backend::TierFast, Contract});
     Cells.emplace_back(&FastEntries.back());
-    Drivers.emplace_back(Cells.back(), Tickets[PI], P.FnName, Contract, Opts);
+    Drivers.emplace_back(Cells.back(), Swaps[PI], P.FnName, Contract, Opts);
     return ResolvedCode{&Cells.back(), &Drivers.back(), FastMods[PI].get()};
   });
   Result.Stats.ExecNs = nowNs() - ExecStartNs;
@@ -683,7 +656,7 @@ ExecResult executeQueryAdaptive(const CompiledPlan &Plan, backend::Backend &BE,
   Result.Stats.Pipelines = std::move(RT.PipeStats);
 
   // Swap outcomes: stats, exec.osr.* metrics, timeline markers. (A trap
-  // leaves later pipelines without drivers; their tickets are cleaned up
+  // leaves later pipelines without drivers; their swaps are settled
   // below without counting as "too late".)
   obs::MetricsRegistry &Reg = Opts.Obs.registry();
   for (size_t PI = 0; PI != Drivers.size(); ++PI) {
@@ -719,17 +692,10 @@ ExecResult executeQueryAdaptive(const CompiledPlan &Plan, backend::Backend &BE,
   }
 
   // Outstanding optimized compiles reference Units, which die with this
-  // frame. Adaptive modules own their pending tickets (installIfReady
-  // syncs a landed promotion into the module; the destructor cancels or
-  // waits out the rest); generic tickets are cancelled or waited here.
-  if (BeIsAdaptive) {
-    for (auto &FM : FastMods)
-      static_cast<backend::AdaptiveModule *>(FM.get())->installIfReady();
-  } else {
-    for (backend::CompileTicket &T : Tickets)
-      if (T.valid() && !T.cancel())
-        T.wait();
-  }
+  // frame: each TierSwap cancels its job if it has not started and waits
+  // out a running one.
+  Drivers.clear();
+  Swaps.clear();
   finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
   return Result;
 }

@@ -19,7 +19,6 @@
 #include "backend/Backend.h"
 #include "backend/CompileService.h"
 #include "db/Codegen.h"
-#include "db/Osr.h"
 #include "runtime/Runtime.h"
 
 namespace qcf::db {
@@ -76,10 +75,9 @@ struct ExecOptions {
   /// every morsel pickup; once the optimized compile lands it is
   /// published at the next morsel boundary, so the static tier choice of
   /// the paper's Figure 7 becomes a dynamic one with bounded regret.
-  /// When \p BE is the Adaptive back-end, its own promotion machinery is
-  /// driven through AdaptiveModule's promotion-ticket hook instead of a
-  /// direct service submit. Results are bit-identical to either tier
-  /// alone. Takes precedence over AsyncCompile.
+  /// When \p BE is the Adaptive back-end, its two tiers (DirectEmit ->
+  /// MLVM-opt) run through this same path. Results are bit-identical to
+  /// either tier alone. Takes precedence over AsyncCompile.
   bool AdaptiveExec = false;
   /// The tier execution starts on in AdaptiveExec mode; null means an
   /// internally created DirectEmit. Must outlive the call.

@@ -11,16 +11,20 @@
 /// match the interpreter exactly (results and traps). Includes a
 /// deterministic single-thread configuration (no service) so any failure
 /// reproduces from its seed alone, and lifecycle tests for modules
-/// destroyed with a promotion still in flight.
+/// destroyed with a promotion still in flight, plus the TierSwap
+/// protocol's submit-once and land-once rules in isolation.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "backend/CompileService.h"
 #include "backend/Registry.h"
+#include "backend/TierSwap.h"
 #include "interp/Interp.h"
+#include "obs/Obs.h"
 #include "tests/DiffHarness.h"
 #include "tests/RandomQir.h"
 #include <atomic>
+#include <future>
 #include <gtest/gtest.h>
 #include <thread>
 
@@ -207,40 +211,42 @@ TEST(AdaptiveAsync, NoteExecutionDoesNotBlockOnService) {
   ASSERT_EQ(S.PerBackend.count("MLVM-opt"), 1u);
 }
 
-/// The executor-facing promotion hook (ExecOptions::AdaptiveExec):
-/// requestPromotion submits immediately — no run-count warmup — hands
-/// out the in-flight ticket, stays idempotent while pending, and
-/// installIfReady syncs the module once the ticket lands.
-TEST(AdaptiveAsync, RequestPromotionExposesTicket) {
+/// Many threads crossing the run threshold at once must submit exactly
+/// one optimizing compile and install it exactly once. The single worker
+/// sleeps before each compile, so the first job is still pending while
+/// every other thread arrives; a second submit would have raced the first
+/// job for the module's optimizing back-end.
+TEST(AdaptiveAsync, ConcurrentThresholdCrossingSubmitsOnce) {
   qir::Module M;
-  buildRandomModule(M, 21);
+  buildRandomModule(M, 33);
 
   CompileService Svc(1);
-  AdaptiveBackend BE; // Deliberately no service on the back-end:
-  BE.PromoteAfterRuns = 1000; // the hook must bypass the heuristic too.
-  BE.PromoteSizeThreshold = 1000;
-  auto Compiled = BE.compile(M);
+  Svc.injectCompileLatencyForTest(20000);
+  AdaptiveBackend BE(&Svc);
+  BE.PromoteAfterRuns = 1;
+  BE.PromoteSizeThreshold = 1;
+  obs::MetricsRegistry Reg;
+  auto Compiled = BE.compile(M, CompileOptions{obs::ObsContext(nullptr, &Reg)});
   auto *AM = static_cast<AdaptiveModule *>(Compiled.get());
 
-  EXPECT_FALSE(AM->promotionTicket().valid()) << "no promotion requested yet";
-  CompileTicket T = AM->requestPromotion(&Svc);
-  ASSERT_TRUE(T.valid());
-  EXPECT_TRUE(AM->promotionPending());
-  // Idempotent: a second request observes the same in-flight job.
-  CompileTicket Again = AM->requestPromotion(&Svc);
-  ASSERT_TRUE(Again.valid());
+  constexpr int NumThreads = 8;
+  std::atomic<int> Ready{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      ++Ready;
+      while (Ready.load() != NumThreads)
+        std::this_thread::yield();
+      AM->noteExecution("rand" + std::to_string(T % 2));
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  AM->waitForPromotion();
+  Svc.drain();
 
-  // The executor's side of the protocol: wait on the ticket, then sync
-  // the module.
-  ASSERT_NE(T.wait(), nullptr);
-  EXPECT_TRUE(AM->installIfReady() || AM->isPromoted());
   EXPECT_TRUE(AM->isPromoted());
-  EXPECT_FALSE(AM->promotionPending());
-  EXPECT_NE(AM->entry("rand0"), nullptr);
-
-  // Promoted modules have nothing in flight to expose.
-  EXPECT_FALSE(AM->requestPromotion(&Svc).valid());
-  EXPECT_FALSE(AM->promotionTicket().valid());
+  EXPECT_EQ(Svc.stats().JobsQueued, 1u);
+  EXPECT_EQ(Reg.snapshot().counter("adaptive.promotions"), 1u);
 }
 
 /// Destroying a module with a promotion still pending must cancel or wait
@@ -285,4 +291,64 @@ TEST(AdaptiveAsync, PromotionAfterServiceShutdownDegrades) {
       << "degraded service completes synchronously; swap installs here";
   EXPECT_TRUE(AM->isPromoted());
   EXPECT_NE(AM->entry("rand0"), nullptr);
+}
+
+namespace {
+
+/// A back-end whose compiles block until the test opens the gate, so a
+/// job can be held in flight for as long as a test needs.
+class GatedBackend : public Backend {
+public:
+  explicit GatedBackend(std::shared_future<void> Gate)
+      : Gate(std::move(Gate)) {}
+  using Backend::compile;
+  std::string name() const override { return "Gated"; }
+  std::unique_ptr<CompiledModule> compile(const qir::Module &M,
+                                          const CompileOptions &Opts) override {
+    Gate.wait();
+    return Inner.compile(M, Opts);
+  }
+
+private:
+  std::shared_future<void> Gate;
+  interp::InterpBackend Inner;
+};
+
+} // namespace
+
+/// The TierSwap protocol itself: a Rejected submit re-arms the claim so a
+/// later submit can retry, a claimed swap is never submitted twice, and
+/// exactly one caller receives the landed module.
+TEST(TierSwap, RejectedSubmitRearmsAndLandsOnce) {
+  qir::Module M;
+  buildRandomModule(M, 77);
+  std::promise<void> Open;
+  GatedBackend BE(Open.get_future().share());
+  CompileOptions Opts;
+  Opts.FairnessKey = "tenant";
+
+  CompileService Svc(1);
+  Svc.setKeyQueueShare("tenant", 1);
+  // Hold the tenant's only in-flight slot so the swap's submit is refused.
+  SubmitOutcome Blocker = Svc.submit(M, BE, CompilePriority::Foreground, Opts);
+  ASSERT_TRUE(Blocker.accepted());
+
+  TierSwap Swap;
+  EXPECT_FALSE(Swap.submit(&Svc, M, BE, Opts)) << "share exhausted";
+  EXPECT_FALSE(Swap.inFlight()) << "a rejected submit must re-arm the claim";
+
+  Open.set_value();
+  Svc.drain(); // Also releases the tenant's in-flight slot.
+  ASSERT_TRUE(Swap.submit(&Svc, M, BE, Opts)) << "retry after rejection";
+  EXPECT_TRUE(Swap.inFlight());
+  EXPECT_FALSE(Swap.submit(&Svc, M, BE, Opts)) << "claimed twice";
+
+  CompiledModule *Landed = Swap.wait();
+  ASSERT_NE(Landed, nullptr);
+  EXPECT_NE(Landed->entry("rand0"), nullptr);
+  EXPECT_TRUE(Swap.landed());
+  EXPECT_EQ(Swap.poll(), nullptr) << "landed module handed out twice";
+  EXPECT_EQ(Swap.wait(), nullptr) << "landed module handed out twice";
+  Svc.drain();
+  EXPECT_EQ(Svc.stats().JobsQueued, 2u);
 }

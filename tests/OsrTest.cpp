@@ -24,6 +24,7 @@
 #include "QueryCorpus.h"
 #include "backend/Cache.h"
 #include "backend/Registry.h"
+#include "backend/TierSwap.h"
 #include "db/Executor.h"
 #include <algorithm>
 #include <cstdlib>
@@ -302,35 +303,36 @@ TEST(OsrCutover, ConcurrentRandomizedSwapTiming) {
 }
 
 /// The swap protocol refuses entries that violate the context
-/// compatibility contract, and osrContract distinguishes both the
+/// compatibility contract, and tierContract distinguishes both the
 /// function identity and the ctx slot layout.
 TEST(OsrProtocol, ContractRejectsIncompatibleEntries) {
-  uint64_t C1 = osrContract("pipe_0", 8);
-  EXPECT_NE(C1, osrContract("pipe_1", 8));
-  EXPECT_NE(C1, osrContract("pipe_0", 9));
-  EXPECT_EQ(C1, osrContract("pipe_0", 8));
+  using namespace qcf::backend;
+  uint64_t C1 = tierContract("pipe_0", 8);
+  EXPECT_NE(C1, tierContract("pipe_1", 8));
+  EXPECT_NE(C1, tierContract("pipe_0", 9));
+  EXPECT_EQ(C1, tierContract("pipe_0", 8));
 
-  auto Dummy = +[](void *, int64_t, int64_t) {};
-  TierEntry FastE{Dummy, OsrTierFast, C1};
+  void *Dummy = reinterpret_cast<void *>(+[](void *, int64_t, int64_t) {});
+  TierEntry FastE{Dummy, TierFast, C1};
   TierCell Cell(&FastE);
   EXPECT_EQ(Cell.load(), &FastE);
 
-  TierEntry Foreign{Dummy, OsrTierOpt, osrContract("pipe_1", 8)};
+  TierEntry Foreign{Dummy, TierOpt, tierContract("pipe_1", 8)};
   EXPECT_FALSE(Cell.publish(&Foreign)) << "foreign contract accepted";
-  TierEntry NoCode{nullptr, OsrTierOpt, C1};
+  TierEntry NoCode{nullptr, TierOpt, C1};
   EXPECT_FALSE(Cell.publish(&NoCode));
   EXPECT_FALSE(Cell.publish(nullptr));
   EXPECT_EQ(Cell.load(), &FastE) << "rejected publish mutated the cell";
 
-  TierEntry OptE{Dummy, OsrTierOpt, C1};
+  TierEntry OptE{Dummy, TierOpt, C1};
   EXPECT_TRUE(Cell.publish(&OptE));
   EXPECT_EQ(Cell.load(), &OptE);
 }
 
-/// AdaptiveExec with the Adaptive back-end drives the swap through the
-/// module's promotion-ticket hook (requestPromotion), and the module's
-/// own entry() agrees with the published tier afterwards.
-TEST(OsrAdaptiveBackend, PromotionHookDrivesSwap) {
+/// AdaptiveExec with the Adaptive back-end resolves it to its two tiers
+/// (DirectEmit -> MLVM-opt) and swaps through the same morsel-boundary
+/// path as any other tier pair.
+TEST(OsrAdaptiveBackend, ResolvesToItsTwoTiers) {
   QuerySuite &S = queryCorpus().front();
   const Query &Q = S.Queries.front();
   const CompiledPlan &Plan = planFor(S, Q);
@@ -345,7 +347,7 @@ TEST(OsrAdaptiveBackend, PromotionHookDrivesSwap) {
   O.MorselSize = 257;
   O.AdaptiveExec = true;
   O.Service = &Svc;
-  O.OsrForceSwapMorsel = 1; // Block on the promotion: swap must happen.
+  O.OsrForceSwapMorsel = 1; // Block on the compile: swap must happen.
   ExecResult R = executeQuery(Plan, BE, *S.Cat, &Out, O);
   ASSERT_FALSE(R.Trapped);
   EXPECT_TRUE(Base.equals(Out));
