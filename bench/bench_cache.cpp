@@ -87,8 +87,8 @@ int runDiskBench() {
                 WarmSec * 1e3, ColdSec / WarmSec, DirectColdSec / WarmSec);
   }
   std::printf("\n(a warm install is pread + checksum + relocation re-patch "
-              "into the dual-view code arena; the last column is the margin "
-              "over the cheapest JIT compile)\n");
+              "+ one pwrite into the code heap; the last column is the "
+              "margin over the cheapest JIT compile)\n");
 
   // Scrub the scratch cache directory.
   if (DIR *D = ::opendir(Dir.c_str())) {

@@ -14,7 +14,6 @@
 #include "support/ByteIo.h"
 #include "support/Compiler.h"
 #include "x64/EncodingLint.h"
-#include "x64/ExecArena.h"
 #include <cstring>
 
 using namespace qcf;
@@ -224,18 +223,18 @@ CranelineBackend::compile(const qir::Module &M,
     }
   }
 
-  // Link: copy into executable memory and apply the absolute relocations
+  // Link: lay out the image, apply the absolute relocations, install it
   // (fast: "only needs to apply a small number of relocations", §VI-C5).
   {
     TimeTraceScope Scope(Trace, "craneline.link");
     size_t Total = 0;
     for (const FnOut &O : Outs)
       Total = ((Total + 15) & ~size_t(15)) + O.Emitted.Code.size();
-    Result->Mem.allocate(Total ? Total : 1);
+    std::vector<uint8_t> Image(Total);
     size_t Off = 0;
     for (FnOut &O : Outs) {
       Off = (Off + 15) & ~size_t(15);
-      uint8_t *Dst = Result->Mem.base() + Off;
+      uint8_t *Dst = Image.data() + Off;
       std::memcpy(Dst, O.Emitted.Code.data(), O.Emitted.Code.size());
       for (const AbsReloc &R : O.Emitted.Relocs) {
         std::memcpy(Dst + R.Offset, &R.Target, 8);
@@ -252,8 +251,7 @@ CranelineBackend::compile(const qir::Module &M,
       Result->FnSizes.push_back(O.Emitted.Code.size());
       Off += O.Emitted.Code.size();
     }
-    Result->CodeBytes = Off;
-    Result->Mem.makeExecutable();
+    Result->Code = x64::CodeHeap::global().install(Image.data(), Off);
   }
 
   if (COpts.Obs.Metrics) {
@@ -301,7 +299,7 @@ bool CranelineModule::serialize(std::vector<uint8_t> &Out) const {
   if (!Serializable)
     return false;
   ByteWriter W;
-  W.bytes(codeBase(), CodeBytes);
+  W.bytes(codeBase(), Code.size());
   W.u64(Fns.size());
   for (size_t I = 0; I != Fns.size(); ++I) {
     W.str(Fns[I].first);
@@ -319,8 +317,8 @@ bool CranelineModule::serialize(std::vector<uint8_t> &Out) const {
 
 namespace qcf::craneline {
 
-/// Shared logic of the two deserialize paths; a friend of
-/// CranelineModule so both can fill its private tables.
+/// Decode/patch steps of deserialization; a friend of CranelineModule so
+/// it can fill the private tables.
 struct PayloadCodec {
   static bool parse(const uint8_t *Data, size_t Len, CranelineModule &Result,
                     const uint8_t **CodeOut, size_t *CodeLenOut);
@@ -367,7 +365,8 @@ bool PayloadCodec::parse(const uint8_t *Data, size_t Len,
   return true;
 }
 
-/// Writes each recorded runtime address over its movabs imm64.
+/// Writes each recorded runtime address over its movabs imm64 in \p
+/// PatchBase, the scratch copy of the module's code.
 void PayloadCodec::patch(const CranelineModule &M, uint8_t *PatchBase) {
   for (const CranelineModule::RtReloc &Rel : M.Relocs) {
     uint64_t Target =
@@ -385,20 +384,9 @@ CranelineBackend::deserialize(const uint8_t *Data, size_t Len) {
   size_t CodeLen = 0;
   if (!PayloadCodec::parse(Data, Len, *Result, &Code, &CodeLen))
     return nullptr;
-  Result->CodeBytes = CodeLen;
-  // Dual-view code arena first — no mmap/mprotect per install (see
-  // x64/ExecArena.h and the DirectEmit equivalent).
-  if (x64::ExecArena::Block Blk = x64::ExecArena::global().allocate(CodeLen)) {
-    std::memcpy(Blk.Rw, Code, CodeLen);
-    PayloadCodec::patch(*Result, Blk.Rw);
-    Result->CodeBase = Blk.Rx;
-    return Result;
-  }
-  // Arena unavailable (no memfd) or empty module: private W^X mapping.
-  Result->Mem.allocate(CodeLen ? CodeLen : 1);
-  std::memcpy(Result->Mem.base(), Code, CodeLen);
-  PayloadCodec::patch(*Result, Result->Mem.base());
-  Result->Mem.makeExecutable();
+  std::vector<uint8_t> Image(Code, Code + CodeLen);
+  PayloadCodec::patch(*Result, Image.data());
+  Result->Code = x64::CodeHeap::global().install(Image.data(), CodeLen);
   return Result;
 }
 

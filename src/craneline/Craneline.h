@@ -25,7 +25,7 @@
 #define QCF_CRANELINE_CRANELINE_H
 
 #include "backend/Backend.h"
-#include "x64/ExecMemory.h"
+#include "x64/CodeHeap.h"
 #include <vector>
 
 namespace qcf::craneline {
@@ -50,22 +50,17 @@ public:
   bool serialize(std::vector<uint8_t> &Out) const override;
 
   /// Per-function code views with imm64 runtime-call relocations, for
-  /// translation validation (QCF_VERIFY=tv). Works off codeBase(), so
-  /// cache-loaded modules expose their re-patched arena bytes.
+  /// translation validation (QCF_VERIFY=tv). Works off the installed
+  /// bytes, so cache-loaded modules expose their re-patched code.
   std::vector<tv::TvFunction> tvFunctions() const override;
 
 private:
   friend class CranelineBackend;
   friend struct PayloadCodec;
-  x64::ExecMemory Mem;
-  /// Where the code actually lives. Compiled modules own a private W^X
-  /// mapping (Mem) with code at its base; cache-loaded modules sit in
-  /// the shared dual-view code arena, and CodeBase is their RX view
-  /// (readable too, so serialize() works off either).
-  const uint8_t *codeBase() const { return CodeBase ? CodeBase : Mem.base(); }
-  const uint8_t *CodeBase = nullptr;
-  /// Bytes of code starting at codeBase() (ExecMemory page-rounds).
-  size_t CodeBytes = 0;
+  /// The module's code, compiled or cache-loaded alike; readable too, so
+  /// serialize() and tvFunctions() work off it.
+  x64::CodeBlock Code;
+  const uint8_t *codeBase() const { return Code.base(); }
   std::vector<std::pair<std::string, size_t>> Fns;
   /// Code bytes of each function, parallel to Fns. The inter-function
   /// gaps are 16-byte alignment padding, which is not decodable code, so

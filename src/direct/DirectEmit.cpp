@@ -28,7 +28,6 @@
 #include "support/Compiler.h"
 #include "x64/Asm.h"
 #include "x64/EncodingLint.h"
-#include "x64/ExecArena.h"
 #include <cstring>
 #include <map>
 #include <optional>
@@ -1600,18 +1599,17 @@ DirectBackend::compile(const qir::Module &M,
   size_t Total = 0;
   for (const auto &C : Codes)
     Total = ((Total + 15) & ~size_t(15)) + C.size();
-  Result->Mem.allocate(Total ? Total : 1);
+  std::vector<uint8_t> Image(Total);
   size_t Off = 0;
   for (size_t I = 0; I != Codes.size(); ++I) {
     Off = (Off + 15) & ~size_t(15);
-    std::memcpy(Result->Mem.base() + Off, Codes[I].data(), Codes[I].size());
+    std::memcpy(Image.data() + Off, Codes[I].data(), Codes[I].size());
     Result->Fns[I].Offset = Off;
     for (auto &[RelOff, Sym] : FnRelocs[I])
       Result->Relocs.push_back({Off + RelOff, std::move(Sym)});
     Off += Codes[I].size();
   }
-  Result->CodeBytes = Total;
-  Result->Mem.makeExecutable();
+  Result->Code = x64::CodeHeap::global().install(Image.data(), Total);
 
   if (Opts.Verify.Tv) {
     std::string Err = tv::validateModule(M, Result->tvFunctions(),
@@ -1651,7 +1649,7 @@ bool DirectModule::serialize(std::vector<uint8_t> &Out) const {
       return false;
 
   ByteWriter W;
-  W.bytes(codeBase(), CodeBytes);
+  W.bytes(codeBase(), Code.size());
   W.u64(Fns.size());
   for (const FnInfo &Fn : Fns) {
     W.str(Fn.Name);
@@ -1671,7 +1669,7 @@ bool DirectModule::serialize(std::vector<uint8_t> &Out) const {
 
 namespace qcf::direct {
 
-/// Shared decode/patch steps of the two deserialization paths.
+/// Decode/patch steps of deserialization.
 struct PayloadCodec {
   static bool parse(const uint8_t *Data, size_t Len, DirectModule &Result,
                     const uint8_t **CodeOut, size_t *CodeLenOut);
@@ -1720,9 +1718,8 @@ bool PayloadCodec::parse(const uint8_t *Data, size_t Len, DirectModule &Result,
   return true;
 }
 
-/// Writes each recorded runtime address over its movabs imm64. \p
-/// PatchBase is the write view of the module's code (private mapping or
-/// arena RW view).
+/// Writes each recorded runtime address over its movabs imm64 in \p
+/// PatchBase, the scratch copy of the module's code.
 void PayloadCodec::patch(const DirectModule &M, uint8_t *PatchBase) {
   for (const DirectModule::RtReloc &Rel : M.Relocs) {
     uint64_t Target =
@@ -1740,22 +1737,9 @@ DirectBackend::deserialize(const uint8_t *Data, size_t Len) {
   size_t CodeLen = 0;
   if (!PayloadCodec::parse(Data, Len, *Result, &Code, &CodeLen))
     return nullptr;
-  Result->CodeBytes = CodeLen;
-  // Install into the dual-view code arena: copy + patch through the RW
-  // view, run through the RX view — no mmap or mprotect per module,
-  // which is what lets a warm cache hit beat even the cheapest compile
-  // by an order of magnitude (see x64/ExecArena.h).
-  if (x64::ExecArena::Block Blk = x64::ExecArena::global().allocate(CodeLen)) {
-    std::memcpy(Blk.Rw, Code, CodeLen);
-    PayloadCodec::patch(*Result, Blk.Rw);
-    Result->CodeBase = Blk.Rx;
-    return Result;
-  }
-  // Arena unavailable (no memfd) or empty module: private W^X mapping.
-  Result->Mem.allocate(CodeLen ? CodeLen : 1);
-  std::memcpy(Result->Mem.base(), Code, CodeLen);
-  PayloadCodec::patch(*Result, Result->Mem.base());
-  Result->Mem.makeExecutable();
+  std::vector<uint8_t> Image(Code, Code + CodeLen);
+  PayloadCodec::patch(*Result, Image.data());
+  Result->Code = x64::CodeHeap::global().install(Image.data(), CodeLen);
   return Result;
 }
 

@@ -7,7 +7,6 @@
 #include "mlvm/JitLink.h"
 #include "runtime/Runtime.h"
 #include "support/Compiler.h"
-#include "x64/ExecArena.h"
 #include <cstdio>
 #include <cstring>
 
@@ -47,7 +46,7 @@ void *LinkedImage::lookup(const std::string &Name) const {
 
 std::unique_ptr<LinkedImage> mlvm::jitLink(const std::vector<uint8_t> &Obj,
                                            TimeTrace *Trace,
-                                           MemPool *Scratch, bool UseArena) {
+                                           MemPool *Scratch) {
   TimeTraceScope Outer(Trace, "mlvm.link");
   MemPool &SP = Scratch ? *Scratch : MemPool::defaultHeap();
   auto Image = std::make_unique<LinkedImage>();
@@ -101,26 +100,14 @@ std::unique_ptr<LinkedImage> mlvm::jitLink(const std::vector<uint8_t> &Obj,
   size_t GotOff = PltOff + PltSize;
   size_t Total = GotOff + GotSize;
 
-  // Two views of the image: bytes are written through WriteBase, but
-  // every address the code will see (symbol addresses, PC-relative
-  // displacements) is computed in the execution view ExecB. For the
-  // private-mapping path the two coincide; for the dual-view arena path
-  // (disk-cache warm loads) they are the RW and RX aliases of the same
-  // pages, so no mprotect is needed before running the code.
-  uint8_t *WriteBase = nullptr;
-  const uint8_t *ExecB = nullptr;
-  if (UseArena && Total) {
-    if (x64::ExecArena::Block Blk = x64::ExecArena::global().allocate(Total)) {
-      WriteBase = Blk.Rw;
-      ExecB = Blk.Rx;
-      Image->ExecBase = Blk.Rx;
-    }
-  }
-  if (!WriteBase) {
-    Image->Mem.allocate(Total ? Total : 1);
-    WriteBase = Image->Mem.base();
-    ExecB = Image->Mem.base();
-  }
+  // Every address the code will see (symbol addresses, PC-relative
+  // displacements) is computed against the block's execute address ExecB;
+  // the bytes are assembled in WriteBase, a scratch buffer installed with
+  // one write at the end of phase 3.
+  Image->Code = x64::CodeHeap::global().allocate(Total);
+  const uint8_t *ExecB = Image->Code.base();
+  std::vector<uint8_t> Bytes(Total);
+  uint8_t *WriteBase = Bytes.data();
   Image->PltEntries = Externs.size();
 
   // --- Phase 2: assign addresses, resolve externals, build GOT+PLT -------
@@ -142,7 +129,7 @@ std::unique_ptr<LinkedImage> mlvm::jitLink(const std::vector<uint8_t> &Obj,
       uint64_t A = reinterpret_cast<uint64_t>(Addr);
       std::memcpy(WriteBase + GotOff + K * 8, &A, 8);
       // PLT entry: jmp [rip + rel32-to-GOT-slot]; int3 padding. The
-      // displacement is image-internal, so it is the same in both views.
+      // displacement is image-internal.
       uint8_t *P = WriteBase + PltOff + K * 16;
       P[0] = 0xff;
       P[1] = 0x25;
@@ -184,8 +171,7 @@ std::unique_ptr<LinkedImage> mlvm::jitLink(const std::vector<uint8_t> &Obj,
         }
       }
     }
-    if (!Image->ExecBase)
-      Image->Mem.makeExecutable();
+    Image->Code.write(WriteBase, Total);
   }
 
   // --- Phase 4: final symbol lookup ---------------------------------------

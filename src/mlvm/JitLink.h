@@ -20,7 +20,7 @@
 #include "support/MemContext.h"
 #include "support/TimeTrace.h"
 #include "tv/Tv.h"
-#include "x64/ExecMemory.h"
+#include "x64/CodeHeap.h"
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,12 +32,10 @@ class LinkedImage {
 public:
   void *lookup(const std::string &Name) const;
 
-  /// Entry addresses live here: the private mapping's base, or the RX
-  /// view of an arena block for cache-loaded images.
-  const uint8_t *execBase() const { return ExecBase ? ExecBase : Mem.base(); }
+  /// Where the image (text, PLT, GOT) lives and runs.
+  const uint8_t *execBase() const { return Code.base(); }
 
-  x64::ExecMemory Mem;
-  const uint8_t *ExecBase = nullptr; ///< Arena RX view (null: use Mem).
+  x64::CodeBlock Code;
   std::vector<std::pair<std::string, uint64_t>> Entries; ///< offsets
   uint64_t PltEntries = 0;
 
@@ -46,14 +44,13 @@ private:
 
 /// Links \p Object; resolves undefined symbols via
 /// rt::runtimeSymbolAddress. The linker's scratch tables (section and
-/// symbol copies, extern list) draw from \p Scratch when given.
-/// \p UseArena places the image in the dual-view code arena (no
-/// mmap/mprotect; see x64/ExecArena.h) — meant for the disk-cache warm
-/// path only, since arena blocks are never reclaimed.
+/// symbol copies, extern list) draw from \p Scratch when given. The image
+/// is one x64::CodeHeap block: addresses are computed against its execute
+/// address, the bytes are assembled in a scratch buffer and installed
+/// with one write.
 std::unique_ptr<LinkedImage> jitLink(const std::vector<uint8_t> &Object,
                                      TimeTrace *Trace,
-                                     MemPool *Scratch = nullptr,
-                                     bool UseArena = false);
+                                     MemPool *Scratch = nullptr);
 
 /// Per-function code views of a linked image, recovered from the ELF
 /// relocatable object it was linked from: the symbol table supplies each

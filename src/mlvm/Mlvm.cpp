@@ -177,7 +177,7 @@ std::unique_ptr<backend::CompiledModule>
 MlvmBackend::deserialize(const uint8_t *Data, size_t Len) {
   std::vector<uint8_t> Object(Data, Data + Len);
   std::unique_ptr<LinkedImage> Image =
-      jitLink(Object, nullptr, nullptr, /*UseArena=*/true);
+      jitLink(Object, nullptr);
   if (!Image)
     return nullptr;
   // The blob crossed a process boundary: audit that every re-patched

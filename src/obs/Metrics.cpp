@@ -225,6 +225,9 @@ void MetricsRegistry::reset() {
 }
 
 MetricsRegistry &MetricsRegistry::global() {
-  static MetricsRegistry G;
-  return G;
+  // Never destroyed: instruments resolved into it are bumped from objects
+  // that die after static destructors run (x64::CodeHeap blocks owned by
+  // modules in static storage).
+  static MetricsRegistry *G = new MetricsRegistry;
+  return *G;
 }

@@ -250,6 +250,8 @@ struct SortCtx {
 
 extern "C" void rt_sort(void *Base, uint64_t Count, uint64_t ElemSize,
                         void *Cmp) {
+  if (Count == 0)
+    return; // Base may be null, and so would be Tmp.data() below.
   // Index sort + permute: keeps the comparator a plain two-pointer call,
   // which is the callback-into-generated-code shape the paper describes
   // for sort operators (§III-A).

@@ -95,10 +95,21 @@ static_assert(sizeof(StringVal) == 16, "StringVal must be 16 bytes");
 
 /// Full comparison helpers (runtime-call implementations live in
 /// StringOps.cpp and are exported with C linkage for compiled code).
+///
+/// stringEq works on the 16-byte layout and relies on one invariant every
+/// producer keeps (makeRef, and through it db::Table::makeString,
+/// rt_str_concat, rt_str_substr and codegen's string constants): the
+/// unused bytes of an inline string are zero. Bytes 0-7 (length plus
+/// prefix) are then one word, and bytes 8-15 of two inline strings are
+/// equal exactly when their tails are.
 inline bool stringEq(const StringVal &A, const StringVal &B) {
-  if (A.Len != B.Len || A.prefixWord() != B.prefixWord())
+  if (A.lo() != B.lo())
     return false;
-  return std::memcmp(A.data(), B.data(), A.Len) == 0;
+  if (A.isInline())
+    return A.hi() == B.hi();
+  if (A.Data == B.Data)
+    return true;
+  return std::memcmp(A.Data + 4, B.Data + 4, A.Len - 4) == 0;
 }
 
 inline int stringCmp(const StringVal &A, const StringVal &B) {

@@ -31,7 +31,6 @@
 #include "support/Compiler.h"
 #include "support/Int128.h"
 #include "x64/EncodingLint.h"
-#include "x64/ExecArena.h"
 #include <cassert>
 #include <cstring>
 
@@ -1004,24 +1003,22 @@ StencilBackend::compile(const qir::Module &M,
     size_t Total = 0;
     for (const auto &C : Codes)
       Total = ((Total + 15) & ~size_t(15)) + C.size();
-    Result->Mem.allocate(Total ? Total : 1);
+    std::vector<uint8_t> Image(Total);
     size_t Off = 0;
     for (size_t I = 0; I != Codes.size(); ++I) {
       Off = (Off + 15) & ~size_t(15);
-      std::memcpy(Result->Mem.base() + Off, Codes[I].data(),
-                  Codes[I].size());
+      std::memcpy(Image.data() + Off, Codes[I].data(), Codes[I].size());
       Result->Fns[I].Offset = Off;
       for (auto &[RelOff, Sym] : FnRelocs[I])
         Result->Relocs.push_back({Off + RelOff, std::move(Sym)});
       Off += Codes[I].size();
     }
-    Result->CodeBytes = Total;
-    Result->Mem.makeExecutable();
+    Result->Code = x64::CodeHeap::global().install(Image.data(), Total);
   }
 
   if (Opts.Obs.Metrics) {
     obs::MetricsRegistry &Reg = *Opts.Obs.Metrics;
-    Reg.counter("mem.stencil.code.bytes").add(Result->CodeBytes);
+    Reg.counter("mem.stencil.code.bytes").add(Result->Code.size());
     Reg.counter("mem.stencil.frame.bytes").add(FrameBytes);
     Reg.counter("mem.stencil.compiles").inc();
   }
@@ -1048,7 +1045,7 @@ bool StencilModule::serialize(std::vector<uint8_t> &Out) const {
       return false;
 
   ByteWriter W;
-  W.bytes(codeBase(), CodeBytes);
+  W.bytes(codeBase(), Code.size());
   W.u64(Fns.size());
   for (const FnInfo &Fn : Fns) {
     W.str(Fn.Name);
@@ -1066,7 +1063,7 @@ bool StencilModule::serialize(std::vector<uint8_t> &Out) const {
 
 namespace qcf::stencil {
 
-/// Shared decode/patch steps of the two deserialization paths.
+/// Decode/patch steps of deserialization.
 struct StencilPayloadCodec {
   static bool parse(const uint8_t *Data, size_t Len, StencilModule &Result,
                     const uint8_t **CodeOut, size_t *CodeLenOut);
@@ -1111,7 +1108,8 @@ bool StencilPayloadCodec::parse(const uint8_t *Data, size_t Len,
   return true;
 }
 
-/// Writes each recorded runtime address over its movabs imm64.
+/// Writes each recorded runtime address over its movabs imm64 in \p
+/// PatchBase, the scratch copy of the module's code.
 void StencilPayloadCodec::patch(const StencilModule &M, uint8_t *PatchBase) {
   for (const StencilModule::RtReloc &Rel : M.Relocs) {
     uint64_t Target =
@@ -1129,19 +1127,8 @@ StencilBackend::deserialize(const uint8_t *Data, size_t Len) {
   size_t CodeLen = 0;
   if (!StencilPayloadCodec::parse(Data, Len, *Result, &Code, &CodeLen))
     return nullptr;
-  Result->CodeBytes = CodeLen;
-  // Install into the dual-view code arena: copy + patch through the RW
-  // view, run through the RX view (see x64/ExecArena.h).
-  if (x64::ExecArena::Block Blk = x64::ExecArena::global().allocate(CodeLen)) {
-    std::memcpy(Blk.Rw, Code, CodeLen);
-    StencilPayloadCodec::patch(*Result, Blk.Rw);
-    Result->CodeBase = Blk.Rx;
-    return Result;
-  }
-  // Arena unavailable (no memfd) or empty module: private W^X mapping.
-  Result->Mem.allocate(CodeLen ? CodeLen : 1);
-  std::memcpy(Result->Mem.base(), Code, CodeLen);
-  StencilPayloadCodec::patch(*Result, Result->Mem.base());
-  Result->Mem.makeExecutable();
+  std::vector<uint8_t> Image(Code, Code + CodeLen);
+  StencilPayloadCodec::patch(*Result, Image.data());
+  Result->Code = x64::CodeHeap::global().install(Image.data(), CodeLen);
   return Result;
 }

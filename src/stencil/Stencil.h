@@ -23,7 +23,7 @@
 #define QCF_STENCIL_STENCIL_H
 
 #include "backend/Backend.h"
-#include "x64/ExecMemory.h"
+#include "x64/CodeHeap.h"
 #include <vector>
 
 namespace qcf::stencil {
@@ -40,20 +40,16 @@ public:
   bool serialize(std::vector<uint8_t> &Out) const override;
 
   /// Per-function code views with imm64 runtime-call relocations, for
-  /// translation validation (QCF_VERIFY=tv). Works off codeBase(), so
-  /// cache-loaded modules expose their re-patched arena bytes.
+  /// translation validation (QCF_VERIFY=tv). Works off the installed
+  /// bytes, so cache-loaded modules expose their re-patched code.
   std::vector<tv::TvFunction> tvFunctions() const override;
 
 private:
   friend class StencilBackend;
   friend struct StencilPayloadCodec;
-  x64::ExecMemory Mem;
-  /// Where the code actually lives: compiled modules own a private W^X
-  /// mapping (Mem); cache-loaded modules sit in the shared dual-view
-  /// code arena and CodeBase is their RX view.
-  const uint8_t *codeBase() const { return CodeBase ? CodeBase : Mem.base(); }
-  const uint8_t *CodeBase = nullptr;
-  size_t CodeBytes = 0;
+  /// The module's code, compiled or cache-loaded alike.
+  x64::CodeBlock Code;
+  const uint8_t *codeBase() const { return Code.base(); }
   struct FnInfo {
     std::string Name;
     size_t Offset;

@@ -4,12 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "db/Table.h"
 #include "runtime/Runtime.h"
 #include "support/Hash.h"
 #include <cstring>
 #include <gtest/gtest.h>
 #include <set>
 #include <thread>
+#include <vector>
 
 using namespace qcf;
 using namespace qcf::rt;
@@ -63,6 +65,69 @@ TEST(StringVal, PrefixEarlyOut) {
   StringVal A = StringVal::makeRef("abcdX", 5);
   StringVal B = StringVal::makeRef("abceX", 5);
   EXPECT_FALSE(stringEq(A, B));
+}
+
+namespace {
+
+/// The bytes of an inline string past its length are zero: stringEq
+/// compares that padding as part of a word.
+bool inlinePaddingIsZero(const StringVal &S) {
+  if (!S.isInline())
+    return true;
+  const auto *Raw = reinterpret_cast<const uint8_t *>(&S);
+  for (size_t I = 4 + S.Len; I != sizeof(StringVal); ++I)
+    if (Raw[I] != 0)
+      return false;
+  return true;
+}
+
+} // namespace
+
+TEST(StringVal, ProducersZeroPadInlineStrings) {
+  // Source bytes past each length are junk, so any producer copying more
+  // than it should shows up.
+  const char Src[] = "abcdefghijklmnopqrstuvwxyz";
+  Arena A;
+  db::Table T("t");
+  for (uint32_t Len = 0; Len <= StringVal::InlineCap; ++Len) {
+    SCOPED_TRACE(Len);
+    EXPECT_TRUE(inlinePaddingIsZero(StringVal::makeRef(Src, Len)));
+    EXPECT_TRUE(inlinePaddingIsZero(T.makeString(std::string(Src, Len))));
+    StringVal Long = StringVal::makeRef(Src, 26);
+    EXPECT_TRUE(inlinePaddingIsZero(rt_str_substr(&A, Long, 3, Len)));
+    StringVal Head = StringVal::makeRef(Src, Len / 2);
+    StringVal Tail = StringVal::makeRef(Src + 10, Len - Len / 2);
+    EXPECT_TRUE(inlinePaddingIsZero(rt_str_concat(&A, Head, Tail)));
+  }
+}
+
+TEST(StringVal, EqualityMatchesByteWiseReference) {
+  // Lengths 0-20 cross the inline/pointer boundary at 12. Pairs share a
+  // prefix and differ in one tail byte, or differ only in length; long
+  // strings also compare against a copy in other storage.
+  std::string Base = "0123456789abcdefghijk";
+  auto Ref = [](const std::string &X, const std::string &Y) { return X == Y; };
+  std::vector<std::string> Strs;
+  for (size_t Len = 0; Len <= 20; ++Len) {
+    Strs.push_back(Base.substr(0, Len));
+    for (size_t Pos = 0; Pos < Len; Pos += 3) {
+      std::string V = Base.substr(0, Len);
+      V[Pos] = '#';
+      Strs.push_back(V);
+    }
+  }
+  std::vector<std::string> Copies = Strs; // Distinct long-string storage.
+  for (const std::string &X : Strs)
+    for (size_t J = 0; J != Strs.size(); ++J) {
+      StringVal SX = StringVal::makeRef(X.data(), uint32_t(X.size()));
+      StringVal SY =
+          StringVal::makeRef(Strs[J].data(), uint32_t(Strs[J].size()));
+      StringVal SC =
+          StringVal::makeRef(Copies[J].data(), uint32_t(Copies[J].size()));
+      EXPECT_EQ(stringEq(SX, SY), Ref(X, Strs[J])) << X << " vs " << Strs[J];
+      EXPECT_EQ(stringEq(SX, SC), Ref(X, Copies[J])) << X << " vs copy";
+      EXPECT_EQ(rt_str_eq(SX, SC) != 0, Ref(X, Copies[J]));
+    }
 }
 
 TEST(RtString, ContainsAndPrefix) {
@@ -394,4 +459,9 @@ TEST(RuntimeCAbi, SortWithHostComparator) {
   EXPECT_EQ(Rows[0].Payload, 10);
   EXPECT_EQ(Rows[1].Payload, 11);
   EXPECT_EQ(Rows[3].Key, 3);
+}
+
+TEST(RuntimeCAbi, SortOfNothingIsANoOp) {
+  auto Cmp = +[](const void *, const void *) -> int64_t { return 0; };
+  rt_sort(nullptr, 0, 16, reinterpret_cast<void *>(Cmp));
 }

@@ -17,7 +17,7 @@
 //   EXEC <sid> <query> [deadline_ms]    -> OK rows=N digest=X ms=T
 //                                        | ERR <reason> [retry_ms]
 //   CLOSE <sid>                         -> OK | ERR <reason>
-//   STATS                               -> serve.*/svc.*/cache.* text, "."
+//   STATS                               -> serve/svc/cache/x64 metrics, "."
 //   PING                                -> PONG
 //   SHUTDOWN                            -> OK (daemon exits)
 //

@@ -23,7 +23,7 @@
 //
 // The --serve mode connects to a running qcf_serve daemon (SOCK, or
 // $QCF_SERVE_SOCK when omitted), issues STATS, and prints the live
-// serve.*/svc.*/cache.* registry text it returns.
+// serve.*/svc.*/cache.*/x64.code_heap.* registry text it returns.
 //
 //===----------------------------------------------------------------------===//
 
@@ -251,6 +251,11 @@ int main(int argc, char **argv) {
   }
 
   obs::MetricsSnapshot Snap = Reg.snapshot();
+  // Live code memory is process-wide: x64::CodeHeap publishes it in the
+  // process registry, not in this run's.
+  obs::MetricsSnapshot Process = obs::MetricsRegistry::global().snapshot();
+  for (const char *G : {"x64.code_heap.bytes", "x64.code_heap.chunks"})
+    Snap.Gauges[G] = Process.gauge(G);
   if (Json)
     std::fputs(Snap.renderJson().c_str(), stdout);
   else
