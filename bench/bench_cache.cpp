@@ -49,7 +49,8 @@ int runDiskBench() {
               "warm[ms]", "vs cold", "vs DirectEmit");
   // GCC is excluded: its modules are process-local .so loads with no
   // serialized form, so it can never warm-install.
-  for (const char *Name : {"DirectEmit", "Craneline", "MLVM-cheap", "MLVM-opt"}) {
+  for (const char *Name :
+       {"DirectEmit", "Stencil", "Craneline", "MLVM-cheap", "MLVM-opt"}) {
     std::unique_ptr<backend::Backend> BE = backend::createBackend(Name);
     backend::CompileOptions Opts;
 

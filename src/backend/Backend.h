@@ -107,8 +107,10 @@ public:
   /// relocation records instead of baked host addresses. Returns false
   /// when the module cannot be persisted (interpreter trampolines,
   /// modules with unnamed absolute targets); the disk cache then simply
-  /// skips the store. The payload format is private to the back-end; the
-  /// DiskCodeCache envelope supplies versioning and integrity checks.
+  /// skips the store. DirectEmit, Stencil and Craneline write the shared
+  /// backend::CodeBlob payload (DirectEmit appends its CFI table); MLVM
+  /// writes an ELF object. The DiskCodeCache envelope supplies versioning
+  /// and integrity checks.
   virtual bool serialize(std::vector<uint8_t> &Out) const {
     (void)Out;
     return false;

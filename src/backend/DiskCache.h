@@ -64,7 +64,7 @@ public:
   /// On-disk envelope format version. Bump on any change to the envelope
   /// or to a back-end payload format; stale-version blobs are rejected
   /// and unlinked on load.
-  static constexpr uint32_t FormatVersion = 2;
+  static constexpr uint32_t FormatVersion = 3;
 
   /// \p Dir is created (with parents) if missing. \p BudgetBytes bounds
   /// the directory's total blob size, 0 = unbounded. \p Reg receives the

@@ -145,13 +145,6 @@ void runIrPasses(const CFunction &CF, CirAnalyses *Out, MemPool &Pool) {
 
 } // namespace
 
-void *CranelineModule::entry(const std::string &Name) {
-  for (auto &[N, Off] : Fns)
-    if (N == Name)
-      return const_cast<uint8_t *>(codeBase()) + Off;
-  return nullptr;
-}
-
 std::unique_ptr<backend::CompiledModule>
 CranelineBackend::compile(const qir::Module &M,
                           const backend::CompileOptions &COpts) {
@@ -227,31 +220,23 @@ CranelineBackend::compile(const qir::Module &M,
   // (fast: "only needs to apply a small number of relocations", §VI-C5).
   {
     TimeTraceScope Scope(Trace, "craneline.link");
-    size_t Total = 0;
-    for (const FnOut &O : Outs)
-      Total = ((Total + 15) & ~size_t(15)) + O.Emitted.Code.size();
-    std::vector<uint8_t> Image(Total);
-    size_t Off = 0;
+    std::vector<backend::BlobFunction> Fns;
     for (FnOut &O : Outs) {
-      Off = (Off + 15) & ~size_t(15);
-      uint8_t *Dst = Image.data() + Off;
-      std::memcpy(Dst, O.Emitted.Code.data(), O.Emitted.Code.size());
+      backend::BlobFunction &BF = Fns.emplace_back();
+      BF.Name = std::move(O.Name);
+      BF.Code = std::move(O.Emitted.Code);
       for (const AbsReloc &R : O.Emitted.Relocs) {
-        std::memcpy(Dst + R.Offset, &R.Target, 8);
-        // Keep a by-name record for the persistent cache; a target that
-        // is not a registered runtime symbol makes the module
-        // non-serializable (its address is meaningless elsewhere).
-        if (const char *Sym = rt::runtimeSymbolName(
-                reinterpret_cast<const void *>(R.Target)))
-          Result->Relocs.push_back({Off + R.Offset, Sym});
-        else
-          Result->Serializable = false;
+        // Name each hard-wired address so a later process can re-resolve
+        // it. A target with no runtime name keeps its address, and the
+        // unresolvable record makes the module non-serializable.
+        const char *Sym =
+            rt::runtimeSymbolName(reinterpret_cast<const void *>(R.Target));
+        if (!Sym)
+          std::memcpy(BF.Code.data() + R.Offset, &R.Target, 8);
+        BF.Relocs.push_back({R.Offset, Sym ? Sym : ""});
       }
-      Result->Fns.emplace_back(O.Name, Off);
-      Result->FnSizes.push_back(O.Emitted.Code.size());
-      Off += O.Emitted.Code.size();
     }
-    Result->Code = x64::CodeHeap::global().install(Image.data(), Off);
+    Result->Blob.link(std::move(Fns));
   }
 
   if (COpts.Obs.Metrics) {
@@ -277,116 +262,22 @@ CranelineBackend::compile(const qir::Module &M,
   return Result;
 }
 
-std::vector<tv::TvFunction> CranelineModule::tvFunctions() const {
-  std::vector<tv::TvFunction> Out;
-  for (size_t I = 0; I != Fns.size(); ++I) {
-    const auto &[Name, Off] = Fns[I];
-    tv::TvFunction TF;
-    TF.Name = Name;
-    TF.Code = codeBase() + Off;
-    TF.Size = I < FnSizes.size() ? FnSizes[I] : 0;
-    for (const RtReloc &R : Relocs)
-      if (R.Offset >= Off && R.Offset < Off + TF.Size)
-        TF.Relocs.push_back({R.Offset - Off, 8, R.Symbol});
-    Out.push_back(std::move(TF));
-  }
-  return Out;
-}
-
 // --- Persistent-cache serialization --------------------------------------------
 
 bool CranelineModule::serialize(std::vector<uint8_t> &Out) const {
-  if (!Serializable)
-    return false;
   ByteWriter W;
-  W.bytes(codeBase(), Code.size());
-  W.u64(Fns.size());
-  for (size_t I = 0; I != Fns.size(); ++I) {
-    W.str(Fns[I].first);
-    W.u64(Fns[I].second);
-    W.u64(I < FnSizes.size() ? FnSizes[I] : 0);
-  }
-  W.u64(Relocs.size());
-  for (const RtReloc &R : Relocs) {
-    W.u64(R.Offset);
-    W.str(R.Symbol);
-  }
+  if (!Blob.serialize(W))
+    return false;
   Out = W.take();
   return true;
 }
 
-namespace qcf::craneline {
-
-/// Decode/patch steps of deserialization; a friend of CranelineModule so
-/// it can fill the private tables.
-struct PayloadCodec {
-  static bool parse(const uint8_t *Data, size_t Len, CranelineModule &Result,
-                    const uint8_t **CodeOut, size_t *CodeLenOut);
-  static void patch(const CranelineModule &M, uint8_t *PatchBase);
-};
-
-/// Parses a serialized CranelineModule payload into \p Result (function
-/// table, relocation records), returning the borrowed code-byte view.
-/// Returns false on any malformed field or unknown symbol.
-bool PayloadCodec::parse(const uint8_t *Data, size_t Len,
-                         CranelineModule &Result, const uint8_t **CodeOut,
-                         size_t *CodeLenOut) {
-  ByteReader R(Data, Len);
-  auto [Code, CodeLen] = R.bytes();
-  uint64_t NumFns = R.u64();
-  if (!R.ok() || NumFns > Len)
-    return false;
-  for (uint64_t I = 0; I != NumFns; ++I) {
-    std::string Name = R.str();
-    uint64_t Off = R.u64();
-    uint64_t Size = R.u64();
-    if (!R.ok() || Off > CodeLen || Off + Size > CodeLen)
-      return false;
-    Result.Fns.emplace_back(std::move(Name), Off);
-    Result.FnSizes.push_back(Size);
-  }
-  uint64_t NumRelocs = R.u64();
-  if (!R.ok() || NumRelocs > Len)
-    return false;
-  for (uint64_t I = 0; I != NumRelocs; ++I) {
-    CranelineModule::RtReloc Rel;
-    Rel.Offset = R.u64();
-    Rel.Symbol = R.str();
-    if (!R.ok() || Rel.Offset + 8 > CodeLen)
-      return false;
-    if (!rt::runtimeSymbolAddress(Rel.Symbol))
-      return false; // Unknown symbol: treat as a cache miss.
-    Result.Relocs.push_back(std::move(Rel));
-  }
-  if (!R.ok())
-    return false;
-  *CodeOut = Code;
-  *CodeLenOut = CodeLen;
-  return true;
-}
-
-/// Writes each recorded runtime address over its movabs imm64 in \p
-/// PatchBase, the scratch copy of the module's code.
-void PayloadCodec::patch(const CranelineModule &M, uint8_t *PatchBase) {
-  for (const CranelineModule::RtReloc &Rel : M.Relocs) {
-    uint64_t Target =
-        reinterpret_cast<uint64_t>(rt::runtimeSymbolAddress(Rel.Symbol));
-    std::memcpy(PatchBase + Rel.Offset, &Target, 8);
-  }
-}
-
-} // namespace qcf::craneline
-
 std::unique_ptr<backend::CompiledModule>
 CranelineBackend::deserialize(const uint8_t *Data, size_t Len) {
   auto Result = std::make_unique<CranelineModule>();
-  const uint8_t *Code = nullptr;
-  size_t CodeLen = 0;
-  if (!PayloadCodec::parse(Data, Len, *Result, &Code, &CodeLen))
+  ByteReader R(Data, Len);
+  if (!Result->Blob.parse(R))
     return nullptr;
-  std::vector<uint8_t> Image(Code, Code + CodeLen);
-  PayloadCodec::patch(*Result, Image.data());
-  Result->Code = x64::CodeHeap::global().install(Image.data(), CodeLen);
   return Result;
 }
 

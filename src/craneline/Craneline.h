@@ -25,7 +25,7 @@
 #define QCF_CRANELINE_CRANELINE_H
 
 #include "backend/Backend.h"
-#include "x64/CodeHeap.h"
+#include "backend/CodeBlob.h"
 #include <vector>
 
 namespace qcf::craneline {
@@ -41,44 +41,18 @@ struct CranelineOptions {
 /// Compiled output.
 class CranelineModule : public backend::CompiledModule {
 public:
-  void *entry(const std::string &Name) override;
+  void *entry(const std::string &Name) override { return Blob.entry(Name); }
 
-  /// Persists code bytes, the function table, and named runtime-call
-  /// relocation records (see DiskCodeCache). Returns false when a
-  /// hard-wired address could not be mapped back to a runtime symbol
-  /// name at link time.
+  /// Returns false when a hard-wired address could not be mapped back to
+  /// a runtime symbol name at link time.
   bool serialize(std::vector<uint8_t> &Out) const override;
-
-  /// Per-function code views with imm64 runtime-call relocations, for
-  /// translation validation (QCF_VERIFY=tv). Works off the installed
-  /// bytes, so cache-loaded modules expose their re-patched code.
-  std::vector<tv::TvFunction> tvFunctions() const override;
+  std::vector<tv::TvFunction> tvFunctions() const override {
+    return Blob.tvFunctions();
+  }
 
 private:
   friend class CranelineBackend;
-  friend struct PayloadCodec;
-  /// The module's code, compiled or cache-loaded alike; readable too, so
-  /// serialize() and tvFunctions() work off it.
-  x64::CodeBlock Code;
-  const uint8_t *codeBase() const { return Code.base(); }
-  std::vector<std::pair<std::string, size_t>> Fns;
-  /// Code bytes of each function, parallel to Fns. The inter-function
-  /// gaps are 16-byte alignment padding, which is not decodable code, so
-  /// tv needs the real extent. Serialized with the function table
-  /// (DiskCodeCache::FormatVersion 2).
-  std::vector<size_t> FnSizes;
-  /// Absolute relocations by runtime-symbol name: the imm64 at module
-  /// offset Offset holds the named symbol's address. Mirrors the
-  /// link stage's AbsRelocs, with the address turned back into a name so
-  /// a later process can re-resolve it.
-  struct RtReloc {
-    size_t Offset;
-    std::string Symbol;
-  };
-  std::vector<RtReloc> Relocs;
-  /// False when some relocation target was not a registered rt_* symbol;
-  /// such a module cannot be persisted.
-  bool Serializable = true;
+  backend::CodeBlob Blob;
 };
 
 /// The back-end.

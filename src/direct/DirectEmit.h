@@ -20,7 +20,7 @@
 #define QCF_DIRECT_DIRECTEMIT_H
 
 #include "backend/Backend.h"
-#include "x64/CodeHeap.h"
+#include "backend/CodeBlob.h"
 #include <vector>
 
 namespace qcf::direct {
@@ -28,46 +28,27 @@ namespace qcf::direct {
 /// Machine code produced by DirectEmit.
 class DirectModule : public backend::CompiledModule {
 public:
-  void *entry(const std::string &Name) override;
+  void *entry(const std::string &Name) override { return Blob.entry(Name); }
 
-  /// The CFI side table (one record per function); exposed for tests.
+  /// Persists the shared code-blob section followed by the CFI table
+  /// (per-function record offset, then the CFI bytes).
+  bool serialize(std::vector<uint8_t> &Out) const override;
+  std::vector<tv::TvFunction> tvFunctions() const override {
+    return Blob.tvFunctions();
+  }
+
+  /// The code and the CFI side table (one record per function); exposed
+  /// for tests.
+  const backend::CodeBlob &blob() const { return Blob; }
   const std::vector<uint8_t> &cfiBytes() const { return Cfi; }
   size_t cfiRecordOffset(const std::string &Name) const;
-  size_t codeSize(const std::string &Name) const;
-
-  /// Persists code bytes, the function table, CFI, and the named
-  /// runtime-call relocation records (see DiskCodeCache).
-  bool serialize(std::vector<uint8_t> &Out) const override;
-
-  /// Per-function code views with imm64 runtime-call relocations, for
-  /// translation validation (QCF_VERIFY=tv). Works off the installed
-  /// bytes, so cache-loaded modules expose their re-patched code.
-  std::vector<tv::TvFunction> tvFunctions() const override;
 
 private:
   friend class DirectBackend;
-  friend struct PayloadCodec;
-  /// The module's code, compiled or cache-loaded alike; readable too, so
-  /// serialize() and tvFunctions() work off it.
-  x64::CodeBlock Code;
-  const uint8_t *codeBase() const { return Code.base(); }
-  struct FnInfo {
-    std::string Name;
-    size_t Offset;
-    size_t Size;
-    size_t CfiOffset;
-  };
-  std::vector<FnInfo> Fns;
+  backend::CodeBlob Blob;
+  /// CFI record offset of each function, in the blob's function order.
+  std::vector<size_t> CfiOffsets;
   std::vector<uint8_t> Cfi;
-  /// Runtime-call sites: the imm64 of a movabs at module offset Offset
-  /// holds the address of runtime symbol Symbol. Recorded so a
-  /// serialized module can be re-patched in a process with a different
-  /// address-space layout.
-  struct RtReloc {
-    size_t Offset;
-    std::string Symbol;
-  };
-  std::vector<RtReloc> Relocs;
 };
 
 /// The DirectEmit back-end.

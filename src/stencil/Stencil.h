@@ -23,7 +23,7 @@
 #define QCF_STENCIL_STENCIL_H
 
 #include "backend/Backend.h"
-#include "x64/CodeHeap.h"
+#include "backend/CodeBlob.h"
 #include <vector>
 
 namespace qcf::stencil {
@@ -31,38 +31,15 @@ namespace qcf::stencil {
 /// Machine code produced by the stencil back-end.
 class StencilModule : public backend::CompiledModule {
 public:
-  void *entry(const std::string &Name) override;
-
-  size_t codeSize(const std::string &Name) const;
-
-  /// Persists code bytes, the entry-symbol table, and the named
-  /// runtime-call relocation records (see DiskCodeCache).
+  void *entry(const std::string &Name) override { return Blob.entry(Name); }
   bool serialize(std::vector<uint8_t> &Out) const override;
-
-  /// Per-function code views with imm64 runtime-call relocations, for
-  /// translation validation (QCF_VERIFY=tv). Works off the installed
-  /// bytes, so cache-loaded modules expose their re-patched code.
-  std::vector<tv::TvFunction> tvFunctions() const override;
+  std::vector<tv::TvFunction> tvFunctions() const override {
+    return Blob.tvFunctions();
+  }
 
 private:
   friend class StencilBackend;
-  friend struct StencilPayloadCodec;
-  /// The module's code, compiled or cache-loaded alike.
-  x64::CodeBlock Code;
-  const uint8_t *codeBase() const { return Code.base(); }
-  struct FnInfo {
-    std::string Name;
-    size_t Offset;
-    size_t Size;
-  };
-  std::vector<FnInfo> Fns;
-  /// Runtime-call sites: the imm64 of a movabs at module offset Offset
-  /// holds the address of runtime symbol Symbol.
-  struct RtReloc {
-    size_t Offset;
-    std::string Symbol;
-  };
-  std::vector<RtReloc> Relocs;
+  backend::CodeBlob Blob;
 };
 
 /// The copy-and-patch back-end.

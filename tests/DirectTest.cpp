@@ -100,7 +100,7 @@ TEST(Direct, CfiRecordsAreWellFormed) {
     size_t Off = DM->cfiRecordOffset(F->name());
     ASSERT_NE(Off, SIZE_MAX) << F->name();
     EXPECT_TRUE(direct::validateCfi(DM->cfiBytes(), Off,
-                                    DM->codeSize(F->name())))
+                                    DM->blob().size(F->name())))
         << "malformed CFI for " << F->name();
   }
 }

@@ -20,6 +20,7 @@
 #include "craneline/Craneline.h"
 #include "qir/Builder.h"
 #include "runtime/Runtime.h"
+#include "tests/BlobPayload.h"
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +35,7 @@
 using namespace qcf;
 using namespace qcf::qir;
 using namespace qcf::backend;
+using namespace qcf::test;
 
 namespace {
 
@@ -117,64 +119,6 @@ void buildAffine(qir::Module &M, int64_t K, const char *Name = "f") {
   B.ret(B.add(P, B.constInt(Type::I64, 7)));
 }
 
-/// Builds a module spanning every relocation kind a persisted blob must
-/// re-patch against the live runtime: an explicit runtime call
-/// (rt_crc32), an i128 shift that back-ends lower to the rt_shl128
-/// helper, and a division whose trap stub targets rt_trap.
-void buildRelocModule(qir::Module &M) {
-  SymbolId Crc =
-      M.declareRuntime("rt_crc32", Type::I64, {Type::I64, Type::I64},
-                       rt::runtimeSymbolAddress("rt_crc32"));
-  {
-    qir::Function *F =
-        M.createFunction("crc", {Type::I64, Type::I64}, Type::I64);
-    Builder B(F);
-    B.ret(B.call(Crc, {F->paramValue(0), F->paramValue(1)}));
-  }
-  {
-    qir::Function *F =
-        M.createFunction("shl128", {Type::I64, Type::I64}, Type::I64);
-    Builder B(F);
-    ValueId X = B.packI128(F->paramValue(0), F->paramValue(1));
-    ValueId S = B.shl(X, B.constInt(Type::I64, 23));
-    B.ret(B.xor_(B.extractLo(S), B.extractHi(S)));
-  }
-  {
-    qir::Function *F =
-        M.createFunction("divs", {Type::I64, Type::I64}, Type::I64);
-    Builder B(F);
-    B.ret(B.sdiv(F->paramValue(0), F->paramValue(1)));
-  }
-}
-
-using Fn2 = int64_t (*)(int64_t, int64_t);
-
-/// Runs the reloc module's three entry points and checks them against the
-/// runtime itself / plain C arithmetic.
-void checkRelocModule(CompiledModule &C) {
-  auto *CrcRt = reinterpret_cast<uint64_t (*)(uint64_t, uint64_t)>(
-      rt::runtimeSymbolAddress("rt_crc32"));
-  ASSERT_NE(CrcRt, nullptr);
-  auto *Crc = C.entryAs<Fn2>("crc");
-  auto *Shl = C.entryAs<Fn2>("shl128");
-  auto *Div = C.entryAs<Fn2>("divs");
-  ASSERT_NE(Crc, nullptr);
-  ASSERT_NE(Shl, nullptr);
-  ASSERT_NE(Div, nullptr);
-  for (int64_t A : {int64_t(0), int64_t(42), int64_t(-9000)})
-    EXPECT_EQ(uint64_t(Crc(A, A * 31 + 5)),
-              CrcRt(uint64_t(A), uint64_t(A * 31 + 5)));
-  for (uint64_t Lo : {uint64_t(1), uint64_t(0xdeadbeefcafebabeull)}) {
-    unsigned __int128 X =
-        (static_cast<unsigned __int128>(7) << 64) | Lo;
-    unsigned __int128 S = X << 23;
-    EXPECT_EQ(uint64_t(Shl(int64_t(Lo), 7)),
-              uint64_t(S) ^ uint64_t(S >> 64));
-  }
-  EXPECT_EQ(Div(100, 7), 14);
-  EXPECT_EQ(Div(-100, 7), -14);
-}
-
 /// Full round trip for one registered back-end: compile, store, load into
 /// a module that must execute identically and re-serialize to the exact
 /// same bytes.
@@ -185,14 +129,14 @@ void roundTrip(const char *BackendName) {
   DiskCodeCache Cache(Dir.Path, /*BudgetBytes=*/0, &Reg);
 
   qir::Module M;
-  buildRelocModule(M);
+  buildRuntimeCallModule(M);
   ModuleFingerprint Key = fingerprintModule(M);
   std::unique_ptr<Backend> BE = createBackend(BackendName);
   CompileOptions Opts;
 
   std::unique_ptr<CompiledModule> Fresh = BE->compile(M, Opts);
   ASSERT_NE(Fresh, nullptr);
-  checkRelocModule(*Fresh);
+  checkRuntimeCallModule(*Fresh);
 
   ASSERT_TRUE(Cache.store(Key, *BE, *Fresh, Opts));
   EXPECT_EQ(Cache.stats().Stores, 1u);
@@ -201,7 +145,7 @@ void roundTrip(const char *BackendName) {
   std::shared_ptr<CompiledModule> Warm = Cache.load(Key, *BE, Opts);
   ASSERT_NE(Warm, nullptr);
   EXPECT_EQ(Cache.stats().Hits, 1u);
-  checkRelocModule(*Warm);
+  checkRuntimeCallModule(*Warm);
 
   // The warm module must serialize back to byte-identical payload — the
   // differential half of the warm-restart acceptance criterion.
@@ -221,7 +165,7 @@ TEST(DiskCache, RoundTripMlvmOpt) { roundTrip("MLVM-opt"); }
 TEST(DiskCache, WarmRestartSkipsBackend) {
   TempDir Dir;
   qir::Module A, B;
-  buildRelocModule(A);
+  buildRuntimeCallModule(A);
   buildAffine(B, 13);
 
   // "Process" 1: cold — every module reaches the inner back-end and is
@@ -232,7 +176,7 @@ TEST(DiskCache, WarmRestartSkipsBackend) {
     auto Counting = std::make_unique<CountingBackend>(createBackend("DirectEmit"));
     CountingBackend *Inner = Counting.get();
     CachingBackend BE(std::move(Counting), 0, nullptr, &Reg, &Disk);
-    checkRelocModule(*BE.compile(A));
+    checkRuntimeCallModule(*BE.compile(A));
     EXPECT_EQ(BE.compile(B)->entryAs<int64_t (*)(int64_t)>("f")(3), 46);
     EXPECT_EQ(Inner->Compiles.load(), 2u);
     EXPECT_EQ(Disk.stats().Stores, 2u);
@@ -247,7 +191,7 @@ TEST(DiskCache, WarmRestartSkipsBackend) {
     auto Counting = std::make_unique<CountingBackend>(createBackend("DirectEmit"));
     CountingBackend *Inner = Counting.get();
     CachingBackend BE(std::move(Counting), 0, nullptr, &Reg, &Disk);
-    checkRelocModule(*BE.compile(A));
+    checkRuntimeCallModule(*BE.compile(A));
     EXPECT_EQ(BE.compile(B)->entryAs<int64_t (*)(int64_t)>("f")(3), 46);
     EXPECT_EQ(Inner->Compiles.load(), 0u)
         << "warm restart must not invoke the back-end";
@@ -558,7 +502,7 @@ TEST(DiskCache, ConfigKeysBlobsApart) {
   obs::MetricsRegistry Reg;
   DiskCodeCache Cache(Dir.Path, 0, &Reg);
   qir::Module M;
-  buildRelocModule(M);
+  buildRuntimeCallModule(M);
   ModuleFingerprint Key = fingerprintModule(M);
   CompileOptions Opts;
 
@@ -582,7 +526,7 @@ TEST(DiskCache, ConfigKeysBlobsApart) {
   // The native config still hits its own blob.
   std::shared_ptr<CompiledModule> W = Cache.load(Key, Native, Opts);
   ASSERT_NE(W, nullptr);
-  checkRelocModule(*W);
+  checkRuntimeCallModule(*W);
 }
 
 TEST(DiskCache, ScanReportsBlobs) {

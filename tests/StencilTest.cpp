@@ -21,7 +21,7 @@
 #include "runtime/Runtime.h"
 #include "stencil/Stencil.h"
 #include "stencil/Stencils.h"
-#include "support/ByteIo.h"
+#include "tests/BlobPayload.h"
 #include "tests/Corpus.h"
 #include "tests/DiffHarness.h"
 #include "tv/Tv.h"
@@ -279,63 +279,6 @@ TEST(Stencil, DiskCacheRoundTrip) {
 //===----------------------------------------------------------------------===//
 // Mutation tests: corrupted patch records must not pass verification
 //===----------------------------------------------------------------------===//
-
-/// The stencil payload, decomposed for surgical corruption. Mirrors
-/// StencilModule::serialize (see stencil/Stencil.cpp).
-struct Payload {
-  std::vector<uint8_t> Code;
-  struct Fn {
-    std::string Name;
-    uint64_t Offset, Size;
-  };
-  std::vector<Fn> Fns;
-  struct Reloc {
-    uint64_t Offset;
-    std::string Symbol;
-  };
-  std::vector<Reloc> Relocs;
-
-  static Payload parse(const std::vector<uint8_t> &Blob) {
-    Payload P;
-    ByteReader R(Blob.data(), Blob.size());
-    auto [Code, CodeLen] = R.bytes();
-    P.Code.assign(Code, Code + CodeLen);
-    uint64_t NumFns = R.u64();
-    for (uint64_t I = 0; I != NumFns; ++I) {
-      Fn F;
-      F.Name = R.str();
-      F.Offset = R.u64();
-      F.Size = R.u64();
-      P.Fns.push_back(std::move(F));
-    }
-    uint64_t NumRelocs = R.u64();
-    for (uint64_t I = 0; I != NumRelocs; ++I) {
-      Reloc Rel;
-      Rel.Offset = R.u64();
-      Rel.Symbol = R.str();
-      P.Relocs.push_back(std::move(Rel));
-    }
-    EXPECT_TRUE(R.ok()) << "stencil payload failed to parse";
-    return P;
-  }
-
-  std::vector<uint8_t> build() const {
-    ByteWriter W;
-    W.bytes(Code.data(), Code.size());
-    W.u64(Fns.size());
-    for (const Fn &F : Fns) {
-      W.str(F.Name);
-      W.u64(F.Offset);
-      W.u64(F.Size);
-    }
-    W.u64(Relocs.size());
-    for (const Reloc &R : Relocs) {
-      W.u64(R.Offset);
-      W.str(R.Symbol);
-    }
-    return W.take();
-  }
-};
 
 /// Deserializes \p Blob and translation-validates it against \p M,
 /// returning the tv diagnostic ("" = passed).
