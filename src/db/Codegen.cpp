@@ -29,22 +29,6 @@ using qir::ValueId;
 
 namespace {
 
-Type qirTypeFor(ExprType Ty) {
-  switch (Ty) {
-  case ExprType::I64:
-    return Type::I64;
-  case ExprType::Decimal:
-    return Type::I128;
-  case ExprType::Str:
-    return Type::D128;
-  case ExprType::Bool:
-    return Type::I1;
-  case ExprType::F64:
-    return Type::F64;
-  }
-  QCF_UNREACHABLE("invalid expr type");
-}
-
 unsigned fieldSize(ExprType Ty) {
   switch (Ty) {
   case ExprType::I64:

@@ -8,8 +8,9 @@
 /// The interpreter back-end (§VIII): QIR is translated into register-based
 /// bytecode — per-value register slots, branch instructions carrying
 /// pre-resolved phi move lists, and calls with pre-resolved host addresses
-/// — and executed by a switch dispatch loop. Translation is the
-/// interpreter's "compile time" in Table III.
+/// — and executed by a switch dispatch loop. The per-opcode semantics are
+/// qir/Semantics.h, shared with the translation validator's reference
+/// stepper. Translation is the interpreter's "compile time" in Table III.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,10 +27,13 @@ namespace qcf::interp {
 
 /// A 16-byte value slot (two 64-bit lanes). Small integers live
 /// zero-extended in Lo; f64 as bits in Lo; i128/d128 use both lanes.
+/// The plain value domain of qir/Semantics.h.
 struct Slot {
   uint64_t Lo = 0;
   uint64_t Hi = 0;
 };
+
+static_assert(sizeof(Slot) == 16, "register slots are exactly two lanes");
 
 /// One translated bytecode instruction.
 struct TInst {
@@ -73,6 +77,7 @@ private:
   };
   struct CallDesc {
     void *Addr;
+    uint64_t RetMask; ///< Keeps a narrow result zero-extended.
     uint8_t NumSlots;
     uint8_t RetKind; ///< 0 = void, 1 = one lane, 2 = two lanes.
     uint32_t ArgOff; ///< Offset into ArgRegs.
@@ -82,6 +87,8 @@ private:
     uint32_t Reg;
     uint8_t Lanes;
   };
+
+  struct Exec; ///< The qir::sem::step adaptor (Interp.cpp).
 
   void translate();
   void applyEdge(const Edge &E, Slot *Regs) const;

@@ -452,7 +452,7 @@ private:
       return false;
     if (!peekIs(')')) {
       for (;;) {
-        uint32_t V;
+        uint32_t V = 0;
         if (!valueRef(&V))
           return false;
         I->Args.push_back(V);
@@ -470,7 +470,7 @@ private:
     if (!typeToken(&I->Ty))
       return false;
     for (;;) {
-      uint32_t Blk, Val;
+      uint32_t Blk = 0, Val = 0;
       if (!eat('[') || !blockRef(&Blk) || !eat(':') || !valueRef(&Val) ||
           !eat(']'))
         return false;

@@ -98,7 +98,11 @@ public:
               : std::string();
   }
 
+  /// Copies \p Len bytes to \p Out (zero-filled on failure). A zero-length
+  /// read touches nothing, so \p Out may then be null.
   void raw(void *Out, size_t Len) {
+    if (Len == 0)
+      return;
     if (!Ok || Len > remaining()) {
       Ok = false;
       std::memset(Out, 0, Len);

@@ -5,176 +5,426 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The QIR side of the co-simulation: a reference stepper that mirrors
-/// interp/Interp.cpp's evaluation semantics operation for operation —
+/// The QIR side of the co-simulation. What each instruction computes —
 /// masking at every narrow width, the exact trap conditions, i1 comparison
-/// as unsigned 0/1, cvttsd2si saturation — but runs against the synthetic
-/// memory model of tv/Sim.h instead of real memory, and maintains a
-/// symbolic term next to every concrete lane for counterexample reports.
-/// Any divergence between this file and the interpreter is a validator
-/// bug; when in doubt, Interp.cpp is the authority.
+/// as unsigned 0/1, cvttsd2si saturation — is qir/Semantics.h, the header
+/// the interpreter instantiates too, so the validator and the differential
+/// oracle share one definition. This file is the validator's adaptor for
+/// it: the synthetic memory model of tv/Sim.h instead of real memory, Call
+/// events and the intrinsic helpers instead of host calls, phi incomings as
+/// one parallel move, fuel and event caps, and a symbolic term next to
+/// every concrete lane for counterexample reports.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "runtime/Trap.h"
-#include "support/Int128.h"
+#include "qir/Semantics.h"
 #include "tv/Sim.h"
 #include <cstdio>
-#include <cstring>
 
 using namespace qcf;
 using namespace qcf::tv;
 using qir::Opcode;
 using qir::Type;
+using qir::sem::Flow;
+using qir::sem::maskFor;
 
 namespace {
 
+/// The symbolic value domain: lanes plus the term of each.
 struct Val {
   uint64_t Lo = 0, Hi = 0;
   TermRef LoT = NO_TERM, HiT = NO_TERM;
 };
 
-uint64_t maskFor(Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return 1;
-  case Type::I8:
-    return 0xff;
-  case Type::I16:
-    return 0xffff;
-  case Type::I32:
-    return 0xffffffff;
-  default:
-    return ~0ull;
-  }
+/// Width a term of type \p Ty is built at: the integer width, else 64.
+unsigned termBits(Type Ty) {
+  return qir::isIntType(Ty) && Ty != Type::I128 ? qir::intBits(Ty) : 64;
 }
 
-int64_t sextT(uint64_t V, Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return (V & 1) ? -1 : 0;
-  case Type::I8:
-    return static_cast<int8_t>(V);
-  case Type::I16:
-    return static_cast<int16_t>(V);
-  case Type::I32:
-    return static_cast<int32_t>(V);
-  default:
-    return static_cast<int64_t>(V);
-  }
-}
-
-unsigned bitsOf(Type Ty) {
-  return qir::isIntType(Ty) ? qir::intBits(Ty) : 64;
-}
-
-Int128 toI128(const Val &V) { return makeInt128(V.Lo, V.Hi); }
-
-void fromI128(Val &D, Int128 V) {
-  D.Lo = lo64(V);
-  D.Hi = hi64(V);
-  D.LoT = D.HiT = NO_TERM;
-}
-
-double asF64(uint64_t Bits) {
-  double D;
-  std::memcpy(&D, &Bits, sizeof(D));
-  return D;
-}
-
-uint64_t f64Bits(double D) {
-  uint64_t B;
-  std::memcpy(&B, &D, sizeof(B));
-  return B;
-}
-
-int64_t f64ToI64Trunc(double D) {
-  if (!(D >= -9.2233720368547758e18 && D < 9.2233720368547758e18))
-    return INT64_MIN;
-  return static_cast<int64_t>(D);
-}
-
-bool evalICmp(qir::CmpPred P, const Val &A, const Val &B, Type OpTy) {
-  if (OpTy == Type::I128) {
-    Int128 X = toI128(A), Y = toI128(B);
-    UInt128 UX = static_cast<UInt128>(X), UY = static_cast<UInt128>(Y);
-    switch (P) {
-    case qir::CmpPred::Eq: return X == Y;
-    case qir::CmpPred::Ne: return X != Y;
-    case qir::CmpPred::SLt: return X < Y;
-    case qir::CmpPred::SLe: return X <= Y;
-    case qir::CmpPred::SGt: return X > Y;
-    case qir::CmpPred::SGe: return X >= Y;
-    case qir::CmpPred::ULt: return UX < UY;
-    case qir::CmpPred::ULe: return UX <= UY;
-    case qir::CmpPred::UGt: return UX > UY;
-    case qir::CmpPred::UGe: return UX >= UY;
+/// Term operator of an arithmetic, compare or conversion instruction. The
+/// S*Trap ops build the wrapping operator: on overflow the round ends in a
+/// Trap event before the result can be observed.
+TermOp termOp(const qir::Inst &I) {
+  switch (I.Op) {
+  case Opcode::Add: case Opcode::SAddTrap: return TermOp::Add;
+  case Opcode::Sub: case Opcode::SSubTrap: return TermOp::Sub;
+  case Opcode::Mul: case Opcode::SMulTrap: return TermOp::Mul;
+  case Opcode::SDiv: return TermOp::SDiv;
+  case Opcode::UDiv: return TermOp::UDiv;
+  case Opcode::SRem: return TermOp::SRem;
+  case Opcode::And: return TermOp::And;
+  case Opcode::Or: return TermOp::Or;
+  case Opcode::Xor: return TermOp::Xor;
+  case Opcode::Shl: return TermOp::Shl;
+  case Opcode::LShr: return TermOp::LShr;
+  case Opcode::AShr: return TermOp::AShr;
+  case Opcode::RotR: return TermOp::RotR;
+  case Opcode::Neg: return TermOp::Neg;
+  case Opcode::Not: return TermOp::Not;
+  case Opcode::Crc32: return TermOp::Crc32;
+  case Opcode::LongMulFold: return TermOp::LMulFold;
+  case Opcode::FAdd: return TermOp::FAdd;
+  case Opcode::FSub: return TermOp::FSub;
+  case Opcode::FMul: return TermOp::FMul;
+  case Opcode::FDiv: return TermOp::FDiv;
+  case Opcode::FNeg: return TermOp::FNeg;
+  case Opcode::SExt: return TermOp::SExt;
+  case Opcode::Trunc: return TermOp::Trunc;
+  case Opcode::SIToFP: return TermOp::SIToFP;
+  case Opcode::FPToSI: return TermOp::FPToSI;
+  case Opcode::ICmp:
+    switch (I.cmpPred()) {
+    case qir::CmpPred::Eq: return TermOp::CmpEq;
+    case qir::CmpPred::Ne: return TermOp::CmpNe;
+    case qir::CmpPred::SLt: return TermOp::CmpSLt;
+    case qir::CmpPred::SLe: return TermOp::CmpSLe;
+    case qir::CmpPred::SGt: return TermOp::CmpSGt;
+    case qir::CmpPred::SGe: return TermOp::CmpSGe;
+    case qir::CmpPred::ULt: return TermOp::CmpULt;
+    case qir::CmpPred::ULe: return TermOp::CmpULe;
+    case qir::CmpPred::UGt: return TermOp::CmpUGt;
+    case qir::CmpPred::UGe: return TermOp::CmpUGe;
     }
-    return false;
+    break;
+  case Opcode::FCmp:
+    switch (I.cmpPred()) {
+    case qir::CmpPred::Eq: return TermOp::FCmpEq;
+    case qir::CmpPred::Ne: return TermOp::FCmpNe;
+    case qir::CmpPred::SLt: case qir::CmpPred::ULt: return TermOp::FCmpLt;
+    case qir::CmpPred::SLe: case qir::CmpPred::ULe: return TermOp::FCmpLe;
+    case qir::CmpPred::SGt: case qir::CmpPred::UGt: return TermOp::FCmpGt;
+    case qir::CmpPred::SGe: case qir::CmpPred::UGe: return TermOp::FCmpGe;
+    }
+    break;
+  default:
+    break;
   }
-  // i1 values compare as unsigned 0/1 regardless of predicate signedness.
-  int64_t SX, SY;
-  if (OpTy == Type::I1) {
-    SX = static_cast<int64_t>(A.Lo & 1);
-    SY = static_cast<int64_t>(B.Lo & 1);
+  QCF_UNREACHABLE("opcode has no term operator");
+}
+
+/// One round of the reference stepper, and its adaptor for
+/// qir::sem::step.
+class Stepper {
+public:
+  using Value = Val;
+
+  Stepper(const qir::Function &F, const qir::Module &M,
+          const SlotLayout &Slots, const RoundCtx &RC, TermArena &TA)
+      : F(F), M(M), Slots(Slots), RC(RC), TA(TA), Regs(F.numInsts()) {
+    Mem.OracleSeed = RC.OracleSeed;
+    Mem.PrivLo = SlotSpaceBase;
+    Mem.PrivHi = SlotSpaceBase + std::max<uint64_t>(Slots.Span, 16);
+  }
+
+  Trace run(const std::vector<uint64_t> &ArgLanes,
+            const std::vector<TermRef> &ArgTerms);
+
+  // The adaptor; see qir/Semantics.h.
+  const qir::Function &fn() const { return F; }
+  Val &def(const qir::Inst &) { return Regs[Idx]; }
+  const Val &use(qir::ValueId V) const {
+    return V < Regs.size() ? Regs[V] : Regs[0];
+  }
+  Flow trap(rt::TrapCode Code) {
+    push(Event::Trap).TrapCode = static_cast<int>(Code);
+    return Flow::Exit;
+  }
+  void sym(const qir::Inst &I, Val &D);
+  Flow preassigned(const qir::Inst &) { return Flow::Next; }
+  Flow stackSlot(const qir::Inst &I);
+  Flow load(const qir::Inst &I);
+  Flow store(const qir::Inst &I);
+  Flow atomicAdd(const qir::Inst &I);
+  Flow call(const qir::Inst &I);
+  Flow branch(qir::BlockId To);
+  Flow ret(const qir::Inst &I);
+  Flow unreachable(const qir::Inst &) {
+    push(Event::Fault);
+    return Flow::Exit;
+  }
+
+private:
+  /// Appends an event stamped with the global digest and the position.
+  Event &push(Event::Kind K) {
+    Event &E = TR.Events.emplace_back();
+    E.K = K;
+    E.Digest = Mem.globalDigest();
+    char B[48];
+    std::snprintf(B, sizeof(B), "block %u inst %u", Cur, Idx);
+    E.Where = B;
+    return E;
+  }
+
+  TermRef loadTerm(uint64_t Addr, unsigned Sz) {
+    TermRef T = ST.load(Addr, Sz);
+    if (T != NO_TERM)
+      return T;
+    if (!Mem.isPriv(Addr) && Mem.globalClean(Addr, Sz))
+      return TA.oracleLoad(Addr, Sz * 8);
+    return NO_TERM;
+  }
+
+  const qir::Function &F;
+  const qir::Module &M;
+  const SlotLayout &Slots;
+  const RoundCtx &RC;
+  TermArena &TA;
+  Trace TR;
+  MemModel Mem;
+  StoreTerms ST;
+  std::vector<Val> Regs;
+  qir::BlockId Cur = 0;
+  uint32_t Idx = 0;
+  unsigned EvCall = 0;
+};
+
+void Stepper::sym(const qir::Inst &I, Val &D) {
+  const Val &A = use(I.A), &B = use(I.B);
+  unsigned W = termBits(I.Ty);
+  switch (I.Op) {
+  case Opcode::ConstInt:
+  case Opcode::ConstF64:
+  case Opcode::ConstPtr:
+    D.LoT = TA.constant(D.Lo, W);
+    return;
+  case Opcode::ZExt:
+    D.LoT = I.Ty == Type::I128 ? A.LoT : TA.unary(TermOp::ZExt, A.LoT, W);
+    return;
+  case Opcode::Bitcast:
+  case Opcode::ExtractLo:
+    D.LoT = A.LoT;
+    return;
+  case Opcode::ExtractHi:
+    D.LoT = A.HiT;
+    return;
+  case Opcode::PackD128:
+  case Opcode::PackI128:
+    D.LoT = A.LoT;
+    D.HiT = B.LoT;
+    return;
+  case Opcode::Select: // The copied value brought its Hi term along.
+    D.LoT = TA.select(A.LoT, B.LoT, use(I.C).LoT, W);
+    return;
+  case Opcode::Gep: {
+    TermRef T = A.LoT;
+    if (I.Imm)
+      T = TA.binary(TermOp::Add, T, TA.constant(I.Imm, 64), 64);
+    if (I.B != qir::INVALID_VALUE)
+      T = TA.binary(TermOp::Add, T,
+                    TA.binary(TermOp::Mul, B.LoT, TA.constant(I.C, 64), 64),
+                    64);
+    D.LoT = T;
+    return;
+  }
+  case Opcode::ICmp:
+    if (F.valueType(I.A) == Type::I128)
+      return;
+    W = termBits(F.valueType(I.A));
+    break;
+  case Opcode::FCmp:
+    W = 64;
+    break;
+  default:
+    if (I.Ty == Type::I128) // Terms are at most 64 bits wide.
+      return;
+    break;
+  }
+  D.LoT = qir::numValueOperands(I.Op) == 1
+              ? TA.unary(termOp(I), A.LoT, W)
+              : TA.binary(termOp(I), A.LoT, B.LoT, W);
+}
+
+Flow Stepper::stackSlot(const qir::Inst &) {
+  Val &D = Regs[Idx];
+  auto It = Slots.SlotAddr.find(Idx);
+  D.Lo = It != Slots.SlotAddr.end() ? It->second : SlotSpaceBase;
+  D.LoT = TA.constant(D.Lo, 64);
+  return Flow::Next;
+}
+
+Flow Stepper::load(const qir::Inst &I) {
+  Val &D = Regs[Idx];
+  uint64_t Addr = use(I.A).Lo;
+  unsigned Sz = qir::typeSize(I.Ty);
+  if (Sz == 16) {
+    D.Lo = Mem.load(Addr, 8);
+    D.Hi = Mem.load(Addr + 8, 8);
+    D.LoT = loadTerm(Addr, 8);
+    D.HiT = loadTerm(Addr + 8, 8);
   } else {
-    SX = sextT(A.Lo, OpTy);
-    SY = sextT(B.Lo, OpTy);
+    D.Lo = Mem.load(Addr, Sz);
+    D.LoT = loadTerm(Addr, Sz);
   }
-  uint64_t UX = A.Lo, UY = B.Lo;
-  switch (P) {
-  case qir::CmpPred::Eq: return UX == UY;
-  case qir::CmpPred::Ne: return UX != UY;
-  case qir::CmpPred::SLt: return SX < SY;
-  case qir::CmpPred::SLe: return SX <= SY;
-  case qir::CmpPred::SGt: return SX > SY;
-  case qir::CmpPred::SGe: return SX >= SY;
-  case qir::CmpPred::ULt: return UX < UY;
-  case qir::CmpPred::ULe: return UX <= UY;
-  case qir::CmpPred::UGt: return UX > UY;
-  case qir::CmpPred::UGe: return UX >= UY;
-  }
-  return false;
+  return Flow::Next;
 }
 
-bool evalFCmp(qir::CmpPred P, double A, double B) {
-  switch (P) {
-  case qir::CmpPred::Eq: return A == B;
-  case qir::CmpPred::Ne: return A != B;
-  case qir::CmpPred::SLt: case qir::CmpPred::ULt: return A < B;
-  case qir::CmpPred::SLe: case qir::CmpPred::ULe: return A <= B;
-  case qir::CmpPred::SGt: case qir::CmpPred::UGt: return A > B;
-  case qir::CmpPred::SGe: case qir::CmpPred::UGe: return A >= B;
+Flow Stepper::store(const qir::Inst &I) {
+  uint64_t Addr = use(I.A).Lo;
+  const Val &B = use(I.B);
+  unsigned Sz = qir::typeSize(I.Ty);
+  if (Sz == 16) {
+    Mem.store(Addr, B.Lo, 8);
+    Mem.store(Addr + 8, B.Hi, 8);
+    ST.store(Addr, 8, B.LoT);
+    ST.store(Addr + 8, 8, B.HiT);
+  } else {
+    Mem.store(Addr, B.Lo, Sz);
+    ST.store(Addr, Sz, B.LoT);
   }
-  return false;
+  return Flow::Next;
 }
 
-TermOp icmpTermOp(qir::CmpPred P) {
-  switch (P) {
-  case qir::CmpPred::Eq: return TermOp::CmpEq;
-  case qir::CmpPred::Ne: return TermOp::CmpNe;
-  case qir::CmpPred::SLt: return TermOp::CmpSLt;
-  case qir::CmpPred::SLe: return TermOp::CmpSLe;
-  case qir::CmpPred::SGt: return TermOp::CmpSGt;
-  case qir::CmpPred::SGe: return TermOp::CmpSGe;
-  case qir::CmpPred::ULt: return TermOp::CmpULt;
-  case qir::CmpPred::ULe: return TermOp::CmpULe;
-  case qir::CmpPred::UGt: return TermOp::CmpUGt;
-  case qir::CmpPred::UGe: return TermOp::CmpUGe;
-  }
-  return TermOp::CmpEq;
+Flow Stepper::atomicAdd(const qir::Inst &I) {
+  Val &D = Regs[Idx];
+  uint64_t Addr = use(I.A).Lo;
+  unsigned Sz = I.Ty == Type::I32 ? 4 : 8;
+  uint64_t Old = Mem.load(Addr, Sz);
+  Mem.store(Addr, (Old + use(I.B).Lo) & maskFor(I.Ty), Sz);
+  ST.store(Addr, Sz, NO_TERM);
+  D.Lo = Old;
+  D.LoT = NO_TERM;
+  return Flow::Next;
 }
 
-TermOp fcmpTermOp(qir::CmpPred P) {
-  switch (P) {
-  case qir::CmpPred::Eq: return TermOp::FCmpEq;
-  case qir::CmpPred::Ne: return TermOp::FCmpNe;
-  case qir::CmpPred::SLt: case qir::CmpPred::ULt: return TermOp::FCmpLt;
-  case qir::CmpPred::SLe: case qir::CmpPred::ULe: return TermOp::FCmpLe;
-  case qir::CmpPred::SGt: case qir::CmpPred::UGt: return TermOp::FCmpGt;
-  case qir::CmpPred::SGe: case qir::CmpPred::UGe: return TermOp::FCmpGe;
+Flow Stepper::call(const qir::Inst &I) {
+  Val &D = Regs[Idx];
+  const qir::RuntimeSig &Sig = M.symbol(F.callee(I));
+  uint64_t SV[6] = {};
+  TermRef STm[6] = {NO_TERM, NO_TERM, NO_TERM, NO_TERM, NO_TERM, NO_TERM};
+  uint8_t SB[6] = {64, 64, 64, 64, 64, 64};
+  unsigned NS = 0;
+  const qir::ValueId *CA = F.callArgs(I);
+  for (unsigned K = 0; K != F.numCallArgs(I); ++K) {
+    const Val &S = Regs[CA[K]];
+    Type Ty = F.valueType(CA[K]);
+    if (NS + (qir::isTwoLane(Ty) ? 2 : 1) > 6) {
+      TR.Skip = true;
+      TR.Error = "call with more than 6 argument slots";
+      return Flow::Exit;
+    }
+    SV[NS] = S.Lo;
+    STm[NS] = S.LoT;
+    SB[NS] = static_cast<uint8_t>(termBits(Ty));
+    ++NS;
+    if (qir::isTwoLane(Ty)) {
+      SV[NS] = S.Hi;
+      STm[NS] = S.HiT;
+      ++NS;
+    }
   }
-  return TermOp::FCmpEq;
+
+  if (Sig.Name == "rt_trap")
+    return trap(static_cast<rt::TrapCode>(SV[0]));
+
+  uint64_t Lo, Hi;
+  int TC;
+  if (stepIntrinsic(Sig.Name, SV, Lo, Hi, TC)) {
+    if (TC != static_cast<int>(rt::TrapCode::None))
+      return trap(static_cast<rt::TrapCode>(TC));
+    if (Sig.RetType != Type::Void) {
+      D.Lo = Lo & maskFor(Sig.RetType);
+      D.Hi = qir::isTwoLane(Sig.RetType) ? Hi : 0;
+      D.LoT = intrinsicResultTerm(TA, Sig.Name, STm);
+      D.HiT = NO_TERM;
+    }
+    return Flow::Next;
+  }
+
+  Event &E = push(Event::Call);
+  E.Sym = Sig.Name;
+  E.NumArgs = NS;
+  for (unsigned K = 0; K != NS; ++K) {
+    E.Args[K] = SV[K];
+    E.ArgT[K] = STm[K];
+    E.ArgBits[K] = SB[K];
+    if (Mem.isPriv(SV[K])) {
+      size_t Len = std::min<uint64_t>(Slots.MaxSnap, Mem.PrivHi - SV[K]);
+      for (const auto &[SlotV, Addr] : Slots.SlotAddr) {
+        uint32_t Size = Slots.SlotSize.at(SlotV);
+        if (SV[K] >= Addr && SV[K] < Addr + Size) {
+          Len = Addr + Size - SV[K];
+          break;
+        }
+      }
+      E.Snap[K] = Mem.snapshot(SV[K], Len);
+    }
+  }
+
+  if (Sig.RetType != Type::Void) {
+    D.Lo = RC.callRet(EvCall, 0) & maskFor(Sig.RetType);
+    D.LoT = TA.callRet(EvCall, 0);
+    if (qir::isTwoLane(Sig.RetType)) {
+      D.Hi = RC.callRet(EvCall, 1);
+      D.HiT = TA.callRet(EvCall, 1);
+    }
+  }
+  ++EvCall;
+  return Flow::Next;
+}
+
+Flow Stepper::branch(qir::BlockId To) {
+  const qir::Block &B = F.block(To);
+  // Phi incomings are a parallel move: read all sources against the
+  // pre-jump register state, then commit.
+  std::vector<std::pair<uint32_t, Val>> Upd;
+  for (uint32_t J = B.Begin; J != B.End; ++J) {
+    const qir::Inst &Ph = F.Insts[J];
+    if (Ph.Op != Opcode::Phi)
+      continue;
+    const qir::PhiIn *Ins = F.phiIncomings(Ph);
+    for (unsigned K = 0; K != F.numPhiIncomings(Ph); ++K)
+      if (Ins[K].Pred == Cur) {
+        Upd.emplace_back(J, Regs[Ins[K].Val]);
+        break;
+      }
+  }
+  for (auto &[V, S] : Upd)
+    Regs[V] = S;
+  Cur = To;
+  Idx = B.Begin;
+  return Flow::Jump;
+}
+
+Flow Stepper::ret(const qir::Inst &I) {
+  Event &E = push(Event::Ret);
+  if (I.A != qir::INVALID_VALUE) {
+    const Val &S = Regs[I.A];
+    E.RetLo = S.Lo;
+    E.RetHi = S.Hi;
+    E.RetLoT = S.LoT;
+    E.RetHiT = S.HiT;
+  }
+  return Flow::Exit;
+}
+
+Trace Stepper::run(const std::vector<uint64_t> &ArgLanes,
+                   const std::vector<TermRef> &ArgTerms) {
+  unsigned Lane = 0;
+  for (unsigned P = 0; P != F.numParams(); ++P) {
+    Val &S = Regs[F.paramValue(P)];
+    S.Lo = ArgLanes[Lane];
+    S.LoT = ArgTerms[Lane];
+    ++Lane;
+    if (qir::isTwoLane(F.paramTypes()[P])) {
+      S.Hi = ArgLanes[Lane];
+      S.HiT = ArgTerms[Lane];
+      ++Lane;
+    }
+  }
+
+  Idx = F.block(0).Begin;
+  for (uint64_t Fuel = 100000;;) {
+    if (Fuel-- == 0 || TR.Events.size() >= MaxEvents) {
+      TR.Bounded = true;
+      break;
+    }
+    Flow Fl = qir::sem::step(*this, F.Insts[Idx]);
+    if (Fl == Flow::Next)
+      ++Idx;
+    else if (Fl == Flow::Exit)
+      break;
+  }
+  return std::move(TR);
 }
 
 } // namespace
@@ -202,656 +452,11 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
                       const SlotLayout &Slots, const RoundCtx &RC,
                       const std::vector<uint64_t> &ArgLanes,
                       const std::vector<TermRef> &ArgTerms, TermArena &TA) {
-  Trace TR;
   if (F.numBlocks() == 0 || F.block(0).empty()) {
+    Trace TR;
     TR.Skip = true;
     TR.Error = "empty function";
     return TR;
   }
-
-  std::vector<Val> Regs(F.numInsts());
-  unsigned Lane = 0;
-  for (unsigned P = 0; P != F.numParams(); ++P) {
-    Val &S = Regs[F.paramValue(P)];
-    S.Lo = ArgLanes[Lane];
-    S.LoT = ArgTerms[Lane];
-    ++Lane;
-    if (qir::isTwoLane(F.paramTypes()[P])) {
-      S.Hi = ArgLanes[Lane];
-      S.HiT = ArgTerms[Lane];
-      ++Lane;
-    }
-  }
-
-  MemModel Mem;
-  Mem.OracleSeed = RC.OracleSeed;
-  Mem.PrivLo = SlotSpaceBase;
-  Mem.PrivHi = SlotSpaceBase + std::max<uint64_t>(Slots.Span, 16);
-  StoreTerms ST;
-
-  qir::BlockId Cur = 0;
-  uint32_t Idx = F.block(0).Begin;
-  uint64_t Fuel = 100000;
-  unsigned EvCall = 0;
-
-  auto where = [&](uint32_t I) {
-    char B[48];
-    std::snprintf(B, sizeof(B), "block %u inst %u", Cur, I);
-    return std::string(B);
-  };
-
-  auto emitTrap = [&](int Code, uint32_t I) {
-    Event E;
-    E.K = Event::Trap;
-    E.TrapCode = Code;
-    E.Digest = Mem.globalDigest();
-    E.Where = where(I);
-    TR.Events.push_back(std::move(E));
-  };
-
-  auto jumpTo = [&](qir::BlockId To) {
-    const qir::Block &B = F.block(To);
-    // Phi incomings are a parallel move: read all sources against the
-    // pre-jump register state, then commit.
-    std::vector<std::pair<uint32_t, Val>> Upd;
-    for (uint32_t J = B.Begin; J != B.End; ++J) {
-      const qir::Inst &Ph = F.Insts[J];
-      if (Ph.Op != Opcode::Phi)
-        continue;
-      const qir::PhiIn *Ins = F.phiIncomings(Ph);
-      for (unsigned K = 0; K != F.numPhiIncomings(Ph); ++K)
-        if (Ins[K].Pred == Cur) {
-          Upd.emplace_back(J, Regs[Ins[K].Val]);
-          break;
-        }
-    }
-    for (auto &[V, S] : Upd)
-      Regs[V] = S;
-    Cur = To;
-    Idx = B.Begin;
-  };
-
-  auto loadTerm = [&](uint64_t Addr, unsigned Sz) -> TermRef {
-    TermRef T = ST.load(Addr, Sz);
-    if (T != NO_TERM)
-      return T;
-    if (!Mem.isPriv(Addr) && Mem.globalClean(Addr, Sz))
-      return TA.oracleLoad(Addr, Sz * 8);
-    return NO_TERM;
-  };
-
-  while (true) {
-    if (Fuel-- == 0 || TR.Events.size() >= MaxEvents) {
-      TR.Bounded = true;
-      return TR;
-    }
-    const qir::Inst &I = F.Insts[Idx];
-    Val &D = Regs[Idx];
-    uint64_t Mask = maskFor(I.Ty);
-    unsigned W = qir::isIntType(I.Ty) && I.Ty != Type::I128
-                     ? qir::intBits(I.Ty)
-                     : 64;
-    const Val &A = I.A < Regs.size() ? Regs[I.A] : Regs[0];
-    const Val &B = I.B < Regs.size() ? Regs[I.B] : Regs[0];
-
-    switch (I.Op) {
-    case Opcode::Param:
-    case Opcode::Phi:
-      break; // Pre-assigned / applied on edges.
-
-    case Opcode::ConstInt:
-      D.Lo = I.Imm & Mask;
-      D.Hi = 0;
-      D.LoT = TA.constant(D.Lo, W);
-      break;
-    case Opcode::ConstF64:
-    case Opcode::ConstPtr:
-      D.Lo = I.Imm;
-      D.Hi = 0;
-      D.LoT = TA.constant(D.Lo, 64);
-      break;
-    case Opcode::ConstI128: {
-      Int128 V = F.i128Constant(I);
-      D.Lo = lo64(V);
-      D.Hi = hi64(V);
-      break;
-    }
-    case Opcode::StackSlot: {
-      auto It = Slots.SlotAddr.find(Idx);
-      D.Lo = It != Slots.SlotAddr.end() ? It->second : SlotSpaceBase;
-      D.Hi = 0;
-      D.LoT = TA.constant(D.Lo, 64);
-      break;
-    }
-
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul: {
-      if (I.Ty == Type::I128) {
-        UInt128 X = static_cast<UInt128>(toI128(A));
-        UInt128 Y = static_cast<UInt128>(toI128(B));
-        UInt128 R = I.Op == Opcode::Add   ? X + Y
-                    : I.Op == Opcode::Sub ? X - Y
-                                          : X * Y;
-        fromI128(D, static_cast<Int128>(R));
-        break;
-      }
-      uint64_t R = I.Op == Opcode::Add   ? A.Lo + B.Lo
-                   : I.Op == Opcode::Sub ? A.Lo - B.Lo
-                                         : A.Lo * B.Lo;
-      D.Lo = R & Mask;
-      D.Hi = 0;
-      TermOp TO = I.Op == Opcode::Add   ? TermOp::Add
-                  : I.Op == Opcode::Sub ? TermOp::Sub
-                                        : TermOp::Mul;
-      D.LoT = TA.binary(TO, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::SDiv: {
-      if (I.Ty == Type::I128) {
-        Int128 Q;
-        if (divOverflow128(toI128(A), toI128(B), &Q)) {
-          emitTrap(static_cast<int>(toI128(B) == 0 ? rt::TrapCode::DivByZero
-                                                   : rt::TrapCode::Overflow),
-                   Idx);
-          return TR;
-        }
-        fromI128(D, Q);
-        break;
-      }
-      int64_t X = sextT(A.Lo, I.Ty), Y = sextT(B.Lo, I.Ty);
-      if (Y == 0) {
-        emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-        return TR;
-      }
-      int64_t Min = -sextT(maskFor(I.Ty) >> 1, I.Ty) - 1;
-      if (Y == -1 && X == Min) {
-        emitTrap(static_cast<int>(rt::TrapCode::Overflow), Idx);
-        return TR;
-      }
-      D.Lo = static_cast<uint64_t>(X / Y) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::SDiv, A.LoT, B.LoT, W);
-      break;
-    }
-    case Opcode::UDiv: {
-      if (I.Ty == Type::I128) {
-        UInt128 Y = static_cast<UInt128>(toI128(B));
-        if (Y == 0) {
-          emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-          return TR;
-        }
-        fromI128(D, static_cast<Int128>(static_cast<UInt128>(toI128(A)) / Y));
-        break;
-      }
-      if ((B.Lo & Mask) == 0) {
-        emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-        return TR;
-      }
-      D.Lo = ((A.Lo & Mask) / (B.Lo & Mask)) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::UDiv, A.LoT, B.LoT, W);
-      break;
-    }
-    case Opcode::SRem: {
-      if (I.Ty == Type::I128) {
-        Int128 Y = toI128(B);
-        if (Y == 0) {
-          emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-          return TR;
-        }
-        fromI128(D, Y == -1 ? 0 : toI128(A) % Y);
-        break;
-      }
-      int64_t X = sextT(A.Lo, I.Ty), Y = sextT(B.Lo, I.Ty);
-      if (Y == 0) {
-        emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-        return TR;
-      }
-      D.Lo = Y == -1 ? 0 : static_cast<uint64_t>(X % Y) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::SRem, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor: {
-      uint64_t RL = I.Op == Opcode::And  ? A.Lo & B.Lo
-                    : I.Op == Opcode::Or ? A.Lo | B.Lo
-                                         : A.Lo ^ B.Lo;
-      uint64_t RH = I.Op == Opcode::And  ? A.Hi & B.Hi
-                    : I.Op == Opcode::Or ? A.Hi | B.Hi
-                                         : A.Hi ^ B.Hi;
-      D.Lo = RL & Mask;
-      D.Hi = I.Ty == Type::I128 ? RH : 0;
-      TermOp TO = I.Op == Opcode::And  ? TermOp::And
-                  : I.Op == Opcode::Or ? TermOp::Or
-                                       : TermOp::Xor;
-      if (I.Ty != Type::I128)
-        D.LoT = TA.binary(TO, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::Shl:
-    case Opcode::LShr:
-    case Opcode::AShr: {
-      if (I.Ty == Type::I128) {
-        unsigned S = static_cast<unsigned>(B.Lo) & 127;
-        Int128 X = toI128(A);
-        Int128 R = I.Op == Opcode::Shl
-                       ? static_cast<Int128>(static_cast<UInt128>(X) << S)
-                   : I.Op == Opcode::LShr
-                       ? static_cast<Int128>(static_cast<UInt128>(X) >> S)
-                       : X >> S;
-        fromI128(D, R);
-        break;
-      }
-      unsigned S = static_cast<unsigned>(B.Lo) & (W - 1);
-      uint64_t R;
-      if (I.Op == Opcode::Shl)
-        R = A.Lo << S;
-      else if (I.Op == Opcode::LShr)
-        R = (A.Lo & Mask) >> S;
-      else
-        R = static_cast<uint64_t>(sextT(A.Lo, I.Ty) >> S);
-      D.Lo = R & Mask;
-      D.Hi = 0;
-      TermOp TO = I.Op == Opcode::Shl    ? TermOp::Shl
-                  : I.Op == Opcode::LShr ? TermOp::LShr
-                                         : TermOp::AShr;
-      D.LoT = TA.binary(TO, A.LoT, B.LoT, W);
-      break;
-    }
-    case Opcode::RotR: {
-      if (I.Ty == Type::I128) {
-        unsigned S = static_cast<unsigned>(B.Lo) & 127;
-        UInt128 X = static_cast<UInt128>(toI128(A));
-        UInt128 R = S == 0 ? X : (X >> S) | (X << (128 - S));
-        fromI128(D, static_cast<Int128>(R));
-        break;
-      }
-      unsigned S = static_cast<unsigned>(B.Lo) & (W - 1);
-      uint64_t V = A.Lo & Mask;
-      D.Lo = S == 0 ? V : ((V >> S) | (V << (W - S))) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::RotR, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::Neg:
-      if (I.Ty == Type::I128) {
-        fromI128(D, static_cast<Int128>(0 - static_cast<UInt128>(toI128(A))));
-      } else {
-        D.Lo = (0 - A.Lo) & Mask;
-        D.Hi = 0;
-        D.LoT = TA.unary(TermOp::Neg, A.LoT, W);
-      }
-      break;
-    case Opcode::Not:
-      D.Lo = ~A.Lo & Mask;
-      D.Hi = I.Ty == Type::I128 ? ~A.Hi : 0;
-      if (I.Ty != Type::I128)
-        D.LoT = TA.unary(TermOp::Not, A.LoT, W);
-      break;
-
-    case Opcode::SAddTrap:
-    case Opcode::SSubTrap:
-    case Opcode::SMulTrap: {
-      if (I.Ty == Type::I128) {
-        Int128 R = 0;
-        bool Ovf;
-        if (I.Op == Opcode::SAddTrap)
-          Ovf = addOverflow128(toI128(A), toI128(B), &R);
-        else if (I.Op == Opcode::SSubTrap)
-          Ovf = subOverflow128(toI128(A), toI128(B), &R);
-        else
-          Ovf = mulOverflow128(toI128(A), toI128(B), &R);
-        if (Ovf) {
-          emitTrap(static_cast<int>(rt::TrapCode::Overflow), Idx);
-          return TR;
-        }
-        fromI128(D, R);
-        break;
-      }
-      int64_t X = sextT(A.Lo, I.Ty), Y = sextT(B.Lo, I.Ty);
-      int64_t R = 0;
-      bool Ovf;
-      if (I.Ty == Type::I32) {
-        int32_t R32 = 0;
-        if (I.Op == Opcode::SAddTrap)
-          Ovf = __builtin_add_overflow(static_cast<int32_t>(X),
-                                       static_cast<int32_t>(Y), &R32);
-        else if (I.Op == Opcode::SSubTrap)
-          Ovf = __builtin_sub_overflow(static_cast<int32_t>(X),
-                                       static_cast<int32_t>(Y), &R32);
-        else
-          Ovf = __builtin_mul_overflow(static_cast<int32_t>(X),
-                                       static_cast<int32_t>(Y), &R32);
-        R = R32;
-      } else {
-        if (I.Op == Opcode::SAddTrap)
-          Ovf = __builtin_add_overflow(X, Y, &R);
-        else if (I.Op == Opcode::SSubTrap)
-          Ovf = __builtin_sub_overflow(X, Y, &R);
-        else
-          Ovf = __builtin_mul_overflow(X, Y, &R);
-      }
-      if (Ovf) {
-        emitTrap(static_cast<int>(rt::TrapCode::Overflow), Idx);
-        return TR;
-      }
-      D.Lo = static_cast<uint64_t>(R) & Mask;
-      D.Hi = 0;
-      TermOp TO = I.Op == Opcode::SAddTrap   ? TermOp::Add
-                  : I.Op == Opcode::SSubTrap ? TermOp::Sub
-                                             : TermOp::Mul;
-      D.LoT = TA.binary(TO, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::Crc32:
-      D.Lo = crc32u64(A.Lo, B.Lo);
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::Crc32, A.LoT, B.LoT, 64);
-      break;
-    case Opcode::LongMulFold:
-      D.Lo = longMulFold(A.Lo, B.Lo);
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::LMulFold, A.LoT, B.LoT, 64);
-      break;
-
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
-    case Opcode::FDiv: {
-      double X = asF64(A.Lo), Y = asF64(B.Lo);
-      double R = I.Op == Opcode::FAdd   ? X + Y
-                 : I.Op == Opcode::FSub ? X - Y
-                 : I.Op == Opcode::FMul ? X * Y
-                                        : X / Y;
-      D.Lo = f64Bits(R);
-      D.Hi = 0;
-      TermOp TO = I.Op == Opcode::FAdd   ? TermOp::FAdd
-                  : I.Op == Opcode::FSub ? TermOp::FSub
-                  : I.Op == Opcode::FMul ? TermOp::FMul
-                                         : TermOp::FDiv;
-      D.LoT = TA.binary(TO, A.LoT, B.LoT, 64);
-      break;
-    }
-    case Opcode::FNeg:
-      D.Lo = f64Bits(-asF64(A.Lo));
-      D.Hi = 0;
-      D.LoT = TA.unary(TermOp::FNeg, A.LoT, 64);
-      break;
-
-    case Opcode::ICmp: {
-      Type OpTy = F.valueType(I.A);
-      D.Lo = evalICmp(I.cmpPred(), A, B, OpTy);
-      D.Hi = 0;
-      if (OpTy != Type::I128)
-        D.LoT = TA.binary(icmpTermOp(I.cmpPred()), A.LoT, B.LoT,
-                          bitsOf(OpTy));
-      break;
-    }
-    case Opcode::FCmp:
-      D.Lo = evalFCmp(I.cmpPred(), asF64(A.Lo), asF64(B.Lo));
-      D.Hi = 0;
-      D.LoT = TA.binary(fcmpTermOp(I.cmpPred()), A.LoT, B.LoT, 64);
-      break;
-
-    case Opcode::Select: {
-      const Val &C = Regs[I.C];
-      const Val &Src = (A.Lo & 1) ? B : C;
-      D.Lo = Src.Lo;
-      D.Hi = Src.Hi;
-      D.LoT = TA.select(A.LoT, B.LoT, C.LoT, W);
-      D.HiT = Src.HiT;
-      break;
-    }
-
-    case Opcode::ZExt:
-      D.Lo = A.Lo;
-      D.Hi = 0;
-      D.LoT = I.Ty == Type::I128
-                  ? A.LoT
-                  : TA.unary(TermOp::ZExt, A.LoT, W);
-      break;
-    case Opcode::SExt: {
-      Type SrcTy = F.valueType(I.A);
-      int64_t S = sextT(A.Lo, SrcTy);
-      D.Lo = static_cast<uint64_t>(S) & Mask;
-      D.Hi = I.Ty == Type::I128 ? static_cast<uint64_t>(S >> 63) : 0;
-      if (I.Ty != Type::I128)
-        D.LoT = TA.unary(TermOp::SExt, A.LoT, W);
-      break;
-    }
-    case Opcode::Trunc:
-      D.Lo = A.Lo & Mask;
-      D.Hi = 0;
-      D.LoT = TA.unary(TermOp::Trunc, A.LoT, W);
-      break;
-    case Opcode::SIToFP: {
-      Type SrcTy = F.valueType(I.A);
-      double R = SrcTy == Type::I128
-                     ? static_cast<double>(toI128(A))
-                     : static_cast<double>(sextT(A.Lo, SrcTy));
-      D.Lo = f64Bits(R);
-      D.Hi = 0;
-      if (SrcTy != Type::I128)
-        D.LoT = TA.unary(TermOp::SIToFP, A.LoT, 64);
-      break;
-    }
-    case Opcode::FPToSI:
-      D.Lo = static_cast<uint64_t>(f64ToI64Trunc(asF64(A.Lo))) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.unary(TermOp::FPToSI, A.LoT, W);
-      break;
-    case Opcode::Bitcast:
-      D.Lo = A.Lo;
-      D.Hi = 0;
-      D.LoT = A.LoT;
-      break;
-
-    case Opcode::PackD128:
-    case Opcode::PackI128:
-      D.Lo = A.Lo;
-      D.Hi = B.Lo;
-      D.LoT = A.LoT;
-      D.HiT = B.LoT;
-      break;
-    case Opcode::ExtractLo:
-      D.Lo = A.Lo;
-      D.Hi = 0;
-      D.LoT = A.LoT;
-      break;
-    case Opcode::ExtractHi:
-      D.Lo = A.Hi;
-      D.Hi = 0;
-      D.LoT = A.HiT;
-      break;
-
-    case Opcode::Load: {
-      uint64_t Addr = A.Lo;
-      unsigned Sz = qir::typeSize(I.Ty);
-      if (Sz == 16) {
-        D.Lo = Mem.load(Addr, 8);
-        D.Hi = Mem.load(Addr + 8, 8);
-        D.LoT = loadTerm(Addr, 8);
-        D.HiT = loadTerm(Addr + 8, 8);
-      } else {
-        D.Lo = Mem.load(Addr, Sz);
-        D.Hi = 0;
-        D.LoT = loadTerm(Addr, Sz);
-      }
-      break;
-    }
-    case Opcode::Store: {
-      uint64_t Addr = A.Lo;
-      unsigned Sz = qir::typeSize(I.Ty);
-      if (Sz == 16) {
-        Mem.store(Addr, B.Lo, 8);
-        Mem.store(Addr + 8, B.Hi, 8);
-        ST.store(Addr, 8, B.LoT);
-        ST.store(Addr + 8, 8, B.HiT);
-      } else {
-        Mem.store(Addr, B.Lo, Sz);
-        ST.store(Addr, Sz, B.LoT);
-      }
-      break;
-    }
-    case Opcode::Gep: {
-      uint64_t Addr = A.Lo + I.Imm;
-      TermRef T = A.LoT;
-      if (I.Imm)
-        T = TA.binary(TermOp::Add, T, TA.constant(I.Imm, 64), 64);
-      if (I.B != qir::INVALID_VALUE) {
-        Addr += B.Lo * I.C;
-        TermRef IxT =
-            TA.binary(TermOp::Mul, B.LoT, TA.constant(I.C, 64), 64);
-        T = TA.binary(TermOp::Add, T, IxT, 64);
-      }
-      D.Lo = Addr;
-      D.Hi = 0;
-      D.LoT = T;
-      break;
-    }
-    case Opcode::AtomicAdd: {
-      uint64_t Addr = A.Lo;
-      unsigned Sz = I.Ty == Type::I32 ? 4 : 8;
-      uint64_t Old = Mem.load(Addr, Sz);
-      Mem.store(Addr, (Old + B.Lo) & maskFor(I.Ty), Sz);
-      ST.store(Addr, Sz, NO_TERM);
-      D.Lo = Old;
-      D.Hi = 0;
-      D.LoT = NO_TERM;
-      break;
-    }
-
-    case Opcode::Call: {
-      const qir::RuntimeSig &Sig = M.symbol(F.callee(I));
-      uint64_t SV[6] = {};
-      TermRef STm[6] = {NO_TERM, NO_TERM, NO_TERM, NO_TERM, NO_TERM, NO_TERM};
-      uint8_t SB[6] = {64, 64, 64, 64, 64, 64};
-      unsigned NS = 0;
-      const qir::ValueId *CA = F.callArgs(I);
-      bool TooMany = false;
-      for (unsigned K = 0; K != F.numCallArgs(I) && !TooMany; ++K) {
-        const Val &S = Regs[CA[K]];
-        Type Ty = F.valueType(CA[K]);
-        if (NS >= 6) {
-          TooMany = true;
-          break;
-        }
-        SV[NS] = S.Lo;
-        STm[NS] = S.LoT;
-        SB[NS] = static_cast<uint8_t>(bitsOf(Ty) == 128 ? 64 : bitsOf(Ty));
-        ++NS;
-        if (qir::isTwoLane(Ty)) {
-          if (NS >= 6) {
-            TooMany = true;
-            break;
-          }
-          SV[NS] = S.Hi;
-          STm[NS] = S.HiT;
-          SB[NS] = 64;
-          ++NS;
-        }
-      }
-      if (TooMany) {
-        TR.Skip = true;
-        TR.Error = "call with more than 6 argument slots";
-        return TR;
-      }
-
-      if (Sig.Name == "rt_trap") {
-        emitTrap(static_cast<int>(SV[0]), Idx);
-        return TR;
-      }
-
-      uint64_t Lo, Hi;
-      int TC;
-      if (stepIntrinsic(Sig.Name, SV, Lo, Hi, TC)) {
-        if (TC != static_cast<int>(rt::TrapCode::None)) {
-          emitTrap(TC, Idx);
-          return TR;
-        }
-        if (Sig.RetType != Type::Void) {
-          D.Lo = Lo & maskFor(Sig.RetType);
-          D.Hi = qir::isTwoLane(Sig.RetType) ? Hi : 0;
-          D.LoT = intrinsicResultTerm(TA, Sig.Name, STm);
-          D.HiT = NO_TERM;
-        }
-        break;
-      }
-
-      Event E;
-      E.K = Event::Call;
-      E.Sym = Sig.Name;
-      E.NumArgs = NS;
-      E.Digest = Mem.globalDigest();
-      E.Where = where(Idx);
-      for (unsigned K = 0; K != NS; ++K) {
-        E.Args[K] = SV[K];
-        E.ArgT[K] = STm[K];
-        E.ArgBits[K] = SB[K];
-        if (Mem.isPriv(SV[K])) {
-          size_t Len = std::min<uint64_t>(Slots.MaxSnap, Mem.PrivHi - SV[K]);
-          for (const auto &[SlotV, Addr] : Slots.SlotAddr) {
-            uint32_t Size = Slots.SlotSize.at(SlotV);
-            if (SV[K] >= Addr && SV[K] < Addr + Size) {
-              Len = Addr + Size - SV[K];
-              break;
-            }
-          }
-          E.Snap[K] = Mem.snapshot(SV[K], Len);
-        }
-      }
-      TR.Events.push_back(std::move(E));
-
-      if (Sig.RetType != Type::Void) {
-        D.Lo = RC.callRet(EvCall, 0) & maskFor(Sig.RetType);
-        D.LoT = TA.callRet(EvCall, 0);
-        if (qir::isTwoLane(Sig.RetType)) {
-          D.Hi = RC.callRet(EvCall, 1);
-          D.HiT = TA.callRet(EvCall, 1);
-        }
-      }
-      ++EvCall;
-      break;
-    }
-
-    case Opcode::Br:
-      jumpTo(I.A);
-      continue;
-    case Opcode::CondBr:
-      jumpTo((Regs[I.A].Lo & 1) ? I.B : I.C);
-      continue;
-    case Opcode::Ret: {
-      Event E;
-      E.K = Event::Ret;
-      E.Digest = Mem.globalDigest();
-      E.Where = where(Idx);
-      if (I.A != qir::INVALID_VALUE) {
-        const Val &S = Regs[I.A];
-        E.RetLo = S.Lo;
-        E.RetHi = S.Hi;
-        E.RetLoT = S.LoT;
-        E.RetHiT = S.HiT;
-      }
-      TR.Events.push_back(std::move(E));
-      return TR;
-    }
-    case Opcode::Unreachable: {
-      Event E;
-      E.K = Event::Fault;
-      E.Digest = Mem.globalDigest();
-      E.Where = where(Idx);
-      TR.Events.push_back(std::move(E));
-      return TR;
-    }
-    }
-    ++Idx;
-  }
+  return Stepper(F, M, Slots, RC, TA).run(ArgLanes, ArgTerms);
 }

@@ -90,10 +90,11 @@ TEST(AdaptiveAsync, SingleThreadDifferentialAcrossPromotion) {
           ASSERT_EQ(Expected.Trapped, Actual.Trapped)
               << Name << " run " << Run << " args=(" << Args[0] << ","
               << Args[1] << ")";
-          if (!Expected.Trapped)
+          if (!Expected.Trapped) {
             ASSERT_EQ(Expected.Lo, Actual.Lo)
                 << Name << " run " << Run << " args=(" << Args[0] << ","
                 << Args[1] << ")";
+          }
         }
         SawSwap |= AM->noteExecution(Name);
       }

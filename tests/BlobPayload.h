@@ -61,10 +61,8 @@ struct Payload {
       P.Relocs.push_back(std::move(Rel));
     }
     EXPECT_TRUE(R.ok()) << "code-blob payload failed to parse";
-    if (size_t Rest = R.remaining()) {
-      P.Trailer.resize(Rest);
-      R.raw(P.Trailer.data(), Rest);
-    }
+    P.Trailer.resize(R.remaining());
+    R.raw(P.Trailer.data(), P.Trailer.size());
     return P;
   }
 

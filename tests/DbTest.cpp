@@ -176,8 +176,9 @@ TEST(DbExec, TopKLimitRespected) {
   for (size_t R = 0; R != Out.numRows(); ++R) {
     size_t N;
     const rt::OutputBuffer::Cell *Row = Out.row(R, &N);
-    if (R)
+    if (R) {
       EXPECT_LE(Row[1].I128V, Prev);
+    }
     Prev = Row[1].I128V;
   }
 }
@@ -491,8 +492,9 @@ TEST(DbExec, AdaptiveSwapBeforeFirstPickupKeepsAccounting) {
       EXPECT_EQ(P.Morsels, NumMorsels) << "lost or duplicated morsel";
       EXPECT_EQ(P.MorselsFast + P.MorselsOpt, P.Morsels);
       EXPECT_EQ(P.RowsFast + P.RowsOpt, P.Rows);
-      if (P.Rows > 0)
+      if (P.Rows > 0) {
         EXPECT_GE(P.MinWorkerMorsels, 1u) << "a worker ran zero morsels";
+      }
     }
   }
 }

@@ -64,8 +64,9 @@ TEST(Parse, CorpusParsedModuleExecutesIdentically) {
     EXPECT_EQ(A.Trapped, B.Trapped) << Case.Fn;
     if (!A.Trapped) {
       EXPECT_EQ(A.Lo, B.Lo) << Case.Fn;
-      if (TwoLane)
+      if (TwoLane) {
         EXPECT_EQ(A.Hi, B.Hi) << Case.Fn;
+      }
     }
   }
 }
@@ -218,8 +219,9 @@ TEST_P(ParseProperty, RandomProgramsRoundTrip) {
     CaseOutcome A = invokeEntry(C1->entry("rand"), Args);
     CaseOutcome B = invokeEntry(C2->entry("rand"), Args);
     EXPECT_EQ(A.Trapped, B.Trapped) << "seed " << GetParam();
-    if (!A.Trapped)
+    if (!A.Trapped) {
       EXPECT_EQ(A.Lo, B.Lo) << "seed " << GetParam();
+    }
   }
 }
 

@@ -53,10 +53,11 @@ void qcf::test::runRandomDifferentialFor(backend::Backend &BE,
       ASSERT_EQ(Expected.Trapped, Actual.Trapped)
           << Name << " seed=" << Seed << " args=(" << Args[0] << ","
           << Args[1] << ")";
-      if (!Expected.Trapped)
+      if (!Expected.Trapped) {
         ASSERT_EQ(Expected.Lo, Actual.Lo)
             << Name << " seed=" << Seed << " args=(" << Args[0] << ","
             << Args[1] << ")";
+      }
     }
   }
 }

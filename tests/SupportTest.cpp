@@ -6,6 +6,7 @@
 
 #include "support/Arena.h"
 #include "support/Bitset.h"
+#include "support/ByteIo.h"
 #include "support/MemContext.h"
 #include "support/Hash.h"
 #include "support/InlineVector.h"
@@ -486,4 +487,21 @@ TEST(TimeTrace, PrefixSums) {
   T.record("ra.fast", 5, 5);
   EXPECT_EQ(T.selfNsWithPrefix("isel."), 30u);
   EXPECT_EQ(T.selfNsWithPrefix(""), 35u);
+}
+
+// --- ByteReader -------------------------------------------------------------
+
+TEST(ByteReader, ZeroLengthRawAcceptsNullDestination) {
+  const uint8_t Buf[] = {1, 2, 3};
+  std::vector<uint8_t> Empty; // data() is null.
+  ByteReader R(Buf, sizeof(Buf));
+  R.raw(Empty.data(), 0);
+  EXPECT_TRUE(R.ok());
+  EXPECT_EQ(R.remaining(), 3u);
+
+  // The failure path must not touch the destination either.
+  EXPECT_EQ(R.u64(), 0u);
+  EXPECT_FALSE(R.ok());
+  R.raw(Empty.data(), 0);
+  EXPECT_FALSE(R.ok());
 }

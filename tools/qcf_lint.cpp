@@ -178,7 +178,7 @@ void printTable(const std::vector<Lane> &Lanes, bool Tv, bool OracleOk) {
   std::printf("\n%-18s %8s %5s %5s %5s %8s\n", "backend", "compiles", "ir",
               "mir", "mc", "tv");
   for (const Lane &L : Lanes) {
-    char TvCell[24];
+    char TvCell[32]; // "FAIL:" + up to 20 digits + NUL.
     if (!Tv)
       std::snprintf(TvCell, sizeof(TvCell), "-");
     else if (L.TvFail)

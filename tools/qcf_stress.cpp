@@ -24,7 +24,8 @@
 // `./qcf_stress --code-cache [rounds]` soaks the persistent disk cache in
 // $QCF_CODE_CACHE: thread storms of store/load over a deterministic
 // corpus, corruption injection with recompile fallback, all differential
-// against the interpreter. With QCF_WARM_CHECK=cold it instead populates
+// against the interpreter, with the back-end named by $QCF_WARM_BACKEND
+// (default DirectEmit). With QCF_WARM_CHECK=cold it instead populates
 // the cache and requires stores to happen; with QCF_WARM_CHECK=warm it
 // requires the whole corpus to install from disk with *zero* back-end
 // compiles — the CI warm-restart contract.
@@ -300,6 +301,11 @@ int runCodeCacheSoak(uint64_t Rounds) {
   }
   const std::string Dir = DirEnv;
   const char *WarmCheck = std::getenv("QCF_WARM_CHECK");
+  // QCF_WARM_BACKEND selects the back-end whose blobs the soak and the
+  // warm-restart contract use (default DirectEmit; CI also runs Stencil).
+  const char *BackendEnv = std::getenv("QCF_WARM_BACKEND");
+  const std::string BackendName =
+      BackendEnv && *BackendEnv ? BackendEnv : "DirectEmit";
 
   // Deterministic corpus + interpreter expectations.
   constexpr int NumModules = 8;
@@ -341,12 +347,8 @@ int runCodeCacheSoak(uint64_t Rounds) {
     bool Warm = !std::strcmp(WarmCheck, "warm");
     obs::MetricsRegistry Reg;
     backend::DiskCodeCache Disk(Dir, 0, &Reg);
-    // QCF_WARM_BACKEND selects which back-end's blobs the warm-restart
-    // contract is checked against (default DirectEmit; CI also runs the
-    // stencil leg).
-    const char *WarmBackend = std::getenv("QCF_WARM_BACKEND");
-    auto Counting = std::make_unique<CountingBackend>(backend::createBackend(
-        WarmBackend && *WarmBackend ? WarmBackend : "DirectEmit"));
+    auto Counting =
+        std::make_unique<CountingBackend>(backend::createBackend(BackendName));
     CountingBackend *Counter = Counting.get();
     backend::CachingBackend Cache(std::move(Counting), 0, nullptr, &Reg, &Disk);
     uint64_t Bad = RunCorpus(Cache);
@@ -375,14 +377,15 @@ int runCodeCacheSoak(uint64_t Rounds) {
 
   // Default soak: store/load thread storms plus corruption injection,
   // always falling back to a clean recompile.
-  std::printf("code-cache soak: %llu rounds over %s\n",
-              static_cast<unsigned long long>(Rounds), Dir.c_str());
+  std::printf("code-cache soak: %llu rounds of %s over %s\n",
+              static_cast<unsigned long long>(Rounds), BackendName.c_str(),
+              Dir.c_str());
   uint64_t Violations = 0;
   for (uint64_t Round = 0; Round != Rounds; ++Round) {
     {
       obs::MetricsRegistry Reg;
       backend::DiskCodeCache Disk(Dir, 0, &Reg);
-      backend::CachingBackend Cache(backend::createBackend("DirectEmit"), 0,
+      backend::CachingBackend Cache(backend::createBackend(BackendName), 0,
                                     nullptr, &Reg, &Disk);
       std::atomic<uint64_t> Bad{0};
       std::vector<std::thread> Threads;
@@ -421,7 +424,7 @@ int runCodeCacheSoak(uint64_t Rounds) {
     {
       obs::MetricsRegistry Reg;
       backend::DiskCodeCache Disk(Dir, 0, &Reg);
-      backend::CachingBackend Cache(backend::createBackend("DirectEmit"), 0,
+      backend::CachingBackend Cache(backend::createBackend(BackendName), 0,
                                     nullptr, &Reg, &Disk);
       uint64_t Bad = RunCorpus(Cache);
       if (Bad) {
